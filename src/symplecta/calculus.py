@@ -108,10 +108,14 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
     K(x1, x2) = (2pi)^{-1} int a(x1 - tau (x1 - x2), k) e^{i k (x1 - x2)} dk,
     discretized with the grid quadrature.  On the periodic grid the difference
     x1 - x2 is replaced by its centered representative so every matrix entry
-    uses the near side of the torus.
+    uses the near side of the torus.  The formula reads tau only, so it is
+    Op_T only where theta + tau = 1; other pairs are rejected.
     """
     if grid.n != 1:
         raise ValueError("the kernel route is implemented for n = 1")
+    if abs(theta + tau - 1.0) > 1e-12:
+        raise ValueError(f"the kernel route needs theta + tau = 1, got "
+                         f"theta + tau = {theta + tau!r}")
     N, h, x = grid.N, grid.h, np.asarray(grid.axis)
     av = a.values
     ph = np.exp(1j * np.outer(x, x))

@@ -393,7 +393,10 @@ def cmd_quantize(cfg):
         T = cfg.matrix_T()
         if cfg.n != 1 or np.abs(T - np.diag(np.diag(T))).max() > 1e-12:
             raise ConfigError("kernel route needs n=1 and diagonal T")
-        A = quantize_theta_tau_kernel(grid, T[1, 1], T[0, 0], a)
+        try:
+            A = quantize_theta_tau_kernel(grid, T[1, 1], T[0, 0], a)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     else:
         ctx = _context(cfg)
         A = quantize_T(ctx, a)

@@ -95,7 +95,6 @@ def build_rep_context(space, T, config):
 
 
 def _config_ops(config):
-    key_cache = getattr(config, "_ops", None)
     x = config.coords()  # (M, n)
     F = config.dft()
     k = x  # self-dual: frequency lattice equals the coordinate lattice
@@ -149,7 +148,9 @@ def field_generator(ctx, xi, t_step=1e-4):
 def u_conjugator_batch(ctx, pts):
     """Stack of U(xi) over an array of phase points, shape (P, M, M).
 
-    Vectorized over the shift axis; intended for synthesis sums at modest N.
+    The dense reference: one explicit M x M unitary per point, O(M^3) each.
+    The averaging sums use the shift-grouped kernel instead and are tested
+    against this stack.
     """
     pts = np.asarray(pts, dtype=float)
     n = ctx.space.n
@@ -162,51 +163,61 @@ def u_conjugator_batch(ctx, pts):
     return mods[:, :, None] * shifts
 
 
+def _shift_groups(config, pts, A):
+    """Group phase points by the shift y of W_std(y, p), (y, p) = A xi.
+
+    W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y) with Mod(p) = diag(e^{i<x, p>})
+    and Shift(y) = F^* diag(r) F, r = e^{-i<k, y>}.  Points are grouped by
+    exact equality of y, which assumes nothing about A.  Yields, for each
+    distinct y, the indices of its points, the ramp r (M,) and the modulation
+    columns E = e^{i x p^T} (M, P_y).
+    """
+    n = config.n
+    eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
+    ys, inv = np.unique(eta[:, :n], axis=0, return_inverse=True)
+    inv = inv.ravel()
+    groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+    x, k, _ = _config_ops(config)
+    for y, idx in zip(ys, groups):
+        yield idx, np.exp(-1j * (k @ y)), np.exp(1j * (x @ eta[idx, n:].T))
+
+
+def _mod_shift_coefficients(ctx, phi_v, psi_v, A):
+    """<phi_v, Mod(p) Shift(y) psi_v> at every phase grid point, (y, p) = A xi.
+
+    Each distinct shift costs one inverse transform of psi_v and one dense
+    product against the modulations of its points.
+    """
+    pts = ctx.phase_grid.points()
+    F = ctx.config.dft()
+    phi_c = np.conj(np.asarray(phi_v, complex).ravel())
+    psi_hat = F @ np.asarray(psi_v, complex).ravel()
+    vals = np.empty(pts.shape[0], complex)
+    for idx, r, E in _shift_groups(ctx.config, pts, A):
+        vals[idx] = E.T @ (phi_c * (F.conj().T @ (r * psi_hat)))
+    return vals
+
+
 def orthogonality_integral(ctx, phi_v, psi_v):
     """Grid integral of |<phi_v, U(xi) psi_v>|^2 over the whole phase grid.
 
-    For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.
+    For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.  The
+    phase e^{-i<y, p>/2} of U(xi) = W_std(phi S^{-1} xi) drops out of |.|^2.
     """
-    pts = ctx.phase_grid.points()
-    phi_c = np.conj(np.asarray(phi_v, complex).ravel())
-    psi = np.asarray(psi_v, complex).ravel()
-    total = 0.0
-    chunk = 256
-    for i0 in range(0, pts.shape[0], chunk):
-        U = u_conjugator_batch(ctx, pts[i0:i0 + chunk])
-        vals = np.einsum("a,iab,b->i", phi_c, U, psi, optimize=True)
-        total += float(np.sum(np.abs(vals) ** 2))
-    return total * ctx.phase_grid.weight
+    vals = _mod_shift_coefficients(ctx, phi_v, psi_v, ctx.phi @ ctx.Sinv)
+    return float(np.sum(np.abs(vals) ** 2)) * ctx.phase_grid.weight
 
 
 def matrix_coefficient(ctx, phi_v, psi_v):
     """Sample w(xi) = <phi_v, W(xi) psi_v> over the whole phase grid.
 
-    Uses the split W(xi) = lam(xi) modulation . shift: for each lattice shift
-    the inner products against all modulations reduce to one small dense
-    transform, so the full map costs O(N^{2n+... }) without materializing any
-    unitaries.  Requires the context's phi to act as a lattice map on the
-    shift block (true for the built-in factorizations).
+    Uses the split W(xi) = lam(xi) e^{-i<y, p>/2} Mod(p) Shift(y) with
+    (y, p) = phi xi, grouped by shift, so no unitary is materialized.
     """
     grid = ctx.phase_grid
-    n, N = grid.n, grid.N
+    n = grid.n
     pts = grid.points()
-    lam = ctx.lam_values(pts)
     eta = pts @ ctx.phi.T
-    y_all = eta[:, :n]
-    p_all = eta[:, n:]
-    x, k, F = _config_ops(ctx.config)
-    phi_c = np.conj(np.asarray(phi_v, complex).ravel())
-    psi = np.asarray(psi_v, complex).ravel()
-    psi_hat = F @ psi
-    vals = np.empty(pts.shape[0], complex)
-    # lexicographic order: the first n axes (shift block) vary slowest
-    block = N ** n
-    for b in range(pts.shape[0] // block):
-        y = y_all[b * block]  # constant within the block
-        shifted = F.conj().T @ (np.exp(-1j * (k @ y)) * psi_hat)
-        v = phi_c * shifted
-        P = p_all[b * block:(b + 1) * block]  # (block, n)
-        E = np.exp(1j * ((x[None, :, :] - y[None, None, :] / 2) * P[:, None, :]).sum(-1))
-        vals[b * block:(b + 1) * block] = E @ v
-    return GridFunction(grid, lam * vals)
+    half = np.exp(-0.5j * (eta[:, :n] * eta[:, n:]).sum(1))
+    vals = _mod_shift_coefficients(ctx, phi_v, psi_v, ctx.phi)
+    return GridFunction(grid, ctx.lam_values(pts) * half * vals)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from symplecta.grid import GridFunction, make_grid
 from symplecta.symplin import SymplecticSpace
@@ -11,6 +12,15 @@ SUITE_T = {
     "diag37": np.diag([0.3, 0.7]),
     "general": np.array([[0.2, 0.5], [-0.3, 0.8]]),
 }
+
+# n = 2 map whose phi has a nonzero x-p block: the shift of W_std(phi xi)
+# varies with the modulation coordinates of xi
+MIXED_T2 = 0.5 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 4))
+
+# (T, n, N) inputs small enough to check a grouped sum against the dense
+# stack of explicit unitaries
+DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
+                      + [pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
 
 
 def make_ctx(T, N=32, n=1):

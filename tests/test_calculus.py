@@ -64,6 +64,14 @@ def test_kernel_route_unit_symbol_is_identity():
     assert np.abs(K - np.eye(32)).max() < 1e-9
 
 
+def test_kernel_route_rejects_theta_plus_tau_not_one():
+    # the kernel formula reads tau only: for T = I it would not be Op_T
+    g = make_grid(1, 32)
+    a = gaussian(g, 1.0, center=(0.2, 0.1))
+    with pytest.raises(ValueError, match=r"theta \+ tau"):
+        quantize_theta_tau_kernel(g, 1.0, 1.0, a)
+
+
 def test_kernel_route_requires_one_degree_of_freedom():
     g = make_grid(2, 8)
     with pytest.raises(ValueError):

@@ -107,6 +107,15 @@ def test_kernel_route_rejects_nondiagonal(tmp_path):
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_kernel_route_rejects_theta_plus_tau_not_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, N=32, route="kernel",
+                    T=[[1.0, 0.0], [0.0, 1.0]])
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "theta + tau" in err
+    assert not (tmp_path / "op-kernel.txt").exists()
+
+
 def test_report_command_small_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, N=16)
     rc = main(["report", "--config", cfg, "--out", str(tmp_path), "--json"])

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import SUITE_T, gaussian, make_ctx, unit_gaussians_1d
+from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
+                      unit_gaussians_1d)
 from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
-from symplecta.katoschatten import (NormReport, SynthesisSpec, bound_suite,
+from symplecta.katoschatten import (NormReport, SynthesisSpec, _cell_reps, bound_suite,
                                     conjugation_coefficient_residual,
                                     kato_identity_residual, kato_synthesis,
                                     majorization_residual,
                                     multiplier_identity_residual,
                                     polar_absolute_values, schatten_norm)
+from symplecta.weylrep import u_conjugator_batch
 
 rng = np.random.default_rng(71)
 
@@ -85,6 +87,33 @@ def test_constant_density_gives_scalar_identity(name):
     assert np.abs(off).max() < 1e-9 * np.abs(np.diag(out)).max()
     d = np.diag(out)
     assert np.abs(d - d.mean()).max() < 1e-9 * abs(d.mean())
+
+
+@pytest.mark.parametrize("T,n,N", DENSE_ORACLE_CASES)
+def test_synthesis_matches_dense_conjugator_sum(T, n, N):
+    ctx = make_ctx(T, N=N, n=n)
+    g = ctx.phase_grid
+    M = ctx.config.M
+    G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+
+    def dense(pts, bv):
+        U = u_conjugator_batch(ctx, pts)
+        return np.einsum("i,iab,bc,idc->ad", bv, U, G, U.conj()) * g.weight
+
+    b = gaussian(g, 1.0, center=(0.3,) + (-0.2,) * (g.dim - 1), tilt=0.2)
+    want = dense(g.points(), b.values.ravel())
+    got = kato_synthesis(ctx, b, G)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # callables sum over the periodicity cell (two boxes for T = I); the n = 2
+    # map's cell is no integer stack of boxes, so it takes sampled densities only
+    if n == 1:
+        f = lambda pts: np.exp(-(pts ** 2).sum(1) / 3) * (1 + 0.1j * pts[:, 0])
+        reps = _cell_reps(ctx)
+        cell = np.concatenate([g.points() + (np.asarray(box) - reps // 2) * g.box_length
+                               for box in np.ndindex(*reps)])
+        want = dense(cell, f(cell))
+        got = kato_synthesis(ctx, f, G)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_synthesis_preserves_positivity():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import SUITE_T, make_ctx, unit_gaussians_1d
+from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, make_ctx,
+                      unit_gaussians_1d)
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
 from symplecta.grid import GridFunction
 from symplecta.symplin import SymplecticSpace
@@ -94,6 +95,30 @@ def test_matrix_coefficient_matches_direct_inner_products(name):
     pts = ctx.phase_grid.points()
     direct = np.array([np.vdot(phi, weyl_W(ctx, xi) @ psi) for xi in pts])
     assert np.abs(w.values.ravel() - direct).max() < 1e-10
+
+
+def test_matrix_coefficient_with_mixed_shift_block():
+    # phi has a nonzero x-p block, so the shift is not constant over runs
+    # of N^n consecutive grid points
+    ctx = make_ctx(MIXED_T2, N=4, n=2)
+    phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    w = matrix_coefficient(ctx, phi, psi)
+    pts = ctx.phase_grid.points()
+    direct = np.array([np.vdot(phi, weyl_W(ctx, xi) @ psi) for xi in pts])
+    assert np.abs(w.values.ravel() - direct).max() < 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("T,n,N", DENSE_ORACLE_CASES)
+def test_orthogonality_integral_matches_dense_sum(T, n, N):
+    ctx = make_ctx(T, N=N, n=n)
+    M = ctx.config.M
+    phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    psi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    U = u_conjugator_batch(ctx, ctx.phase_grid.points())
+    want = (np.sum(np.abs(np.einsum("a,iab,b->i", phi.conj(), U, psi)) ** 2)
+            * ctx.phase_grid.weight)
+    assert abs(orthogonality_integral(ctx, phi, psi) - want) < 1e-12 * want
 
 
 @pytest.mark.parametrize("name", ["half", "unit", "diag37"])
