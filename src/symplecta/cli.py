@@ -73,6 +73,18 @@ class RunConfig:
         return val
 
 
+CONFIG_KEYS = ("n", "N", "T", "symbol", "suite", "route", "seed", "out",
+               "tolerances")
+
+
+def _config_int(key, val):
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    return val
+
+
 def load_config(args):
     data = {}
     if args.config:
@@ -81,11 +93,16 @@ def load_config(args):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object mapping keys to "
+                              f"values, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; "
+                          f"known keys are {list(CONFIG_KEYS)}")
     cfg = RunConfig()
-    for key in ("n", "N", "T", "symbol", "suite", "route", "seed", "out",
-                "tolerances"):
-        if key in data:
-            setattr(cfg, key, data[key])
+    for key, val in data.items():
+        setattr(cfg, key, val)
     if args.suite:
         cfg.suite = args.suite
     if args.seed is not None:
@@ -93,16 +110,23 @@ def load_config(args):
     if args.out:
         cfg.out = args.out
     cfg.json_mirror = bool(args.json)
-    cfg.n = int(cfg.n)
-    cfg.N = int(cfg.N)
-    cfg.seed = int(cfg.seed)
-    if cfg.n < 1 or cfg.N % 2 != 0 or not (4 <= cfg.N <= 256):
-        raise ConfigError("need n >= 1 and even N in [4, 256]")
+    cfg.n = _config_int("n", cfg.n)
+    cfg.N = _config_int("N", cfg.N)
+    cfg.seed = _config_int("seed", cfg.seed)
+    if cfg.n not in (1, 2):
+        raise ConfigError(f"n must be 1 or 2, got {cfg.n}")
+    if cfg.N % 2 != 0 or not (4 <= cfg.N <= 256):
+        raise ConfigError(f"N must be even and in [4, 256], got {cfg.N}")
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
     if cfg.route not in ("synthesis", "kernel"):
         raise ConfigError(f"unknown route {cfg.route!r}")
-    T = np.asarray(cfg.T, dtype=float)
+    try:
+        T = np.asarray(cfg.T)
+    except ValueError:  # ragged nesting
+        T = None
+    if T is None or T.dtype.kind not in "iuf":
+        raise ConfigError(f"T must be a matrix of numbers, got {cfg.T!r}")
     if T.size != (2 * cfg.n) ** 2:
         raise ConfigError("T must be a 2n x 2n matrix (row-major)")
     if not isinstance(cfg.tolerances, dict):

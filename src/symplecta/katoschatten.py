@@ -23,6 +23,8 @@ n = 1, where phi S^{-1} is diagonal, there are N shifts of N points each and
 the whole sum costs O(N^4) instead of O(N^5) for one explicit unitary per point.
 """
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,11 +243,15 @@ class NormReport:
         return all(r.passed for r in self.rows)
 
     def to_csv(self):
-        lines = ["quantity,p,q,value,bound,ratio,pass"]
+        """The rows as CSV; a quantity holding a comma is quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["quantity", "p", "q", "value", "bound", "ratio", "pass"])
         for r in self.rows:
-            lines.append(f"{r.quantity},{r.p:g},{r.q:g},{r.value:.17g},"
-                         f"{r.bound:.17g},{r.ratio:.17g},{str(r.passed).lower()}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([r.quantity, f"{r.p:g}", f"{r.q:g}", f"{r.value:.17g}",
+                             f"{r.bound:.17g}", f"{r.ratio:.17g}",
+                             str(r.passed).lower()])
+        return buf.getvalue()
 
 
 def _gauss_family(grid, count):

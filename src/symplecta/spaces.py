@@ -51,12 +51,19 @@ def _ord_ift(vals, axes=None):
                                         axes=axes), axes=axes)
 
 
-def _lp(vals, p, h):
-    a = np.abs(vals)
-    d = vals.ndim
+def _lp_rows(vals, p, weight):
+    """Row-wise (weight sum_j |v_ij|^p)^{1/p} of a 2-D array, max_j |v_ij| for
+    p = inf.  |v|^p is formed only for p outside {1, 2, inf}."""
     if p == np.inf:
-        return float(a.max())
-    return float((np.sum(a ** p) * h ** d) ** (1.0 / p))
+        return np.abs(vals).max(axis=1)
+    if p == 1:
+        s = np.abs(vals).sum(axis=1)
+    elif p == 2:
+        f = np.ascontiguousarray(vals).view(np.float64)  # (re, im) pairs
+        s = np.einsum("ij,ij->i", f, f)
+    else:
+        s = (np.abs(vals) ** p).sum(axis=1)
+    return (s * weight) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +87,50 @@ class WindowSpec:
             raise ValueError("window kind must be gaussian or hermite-gaussian")
 
 
-def window_values(window, d, N):
-    """Evaluate a WindowSpec on the centered d-dimensional lattice."""
-    pts = _lattice_points(N, d)
+def _window_params(window, d):
     center = np.zeros(d) if len(window.center) == 0 else np.asarray(window.center, float)
-    z = pts - center
     if len(window.covariance) == 0:
         cov = np.eye(d)
     else:
         cov = np.asarray(window.covariance, float)
         cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
+    hermite = ((window.hermite_index or (1,) * d) if window.kind == "hermite-gaussian"
+               else ())
+    return center, cov, hermite
+
+
+def _hermite(z, k):
+    return np.polynomial.hermite_e.hermeval(z, [0] * k + [1])
+
+
+def window_values(window, d, N):
+    """Evaluate a WindowSpec on the centered d-dimensional lattice."""
+    pts = _lattice_points(N, d)
+    center, cov, hermite = _window_params(window, d)
+    z = pts - center
     quad = np.einsum("ia,ab,ib->i", z, np.linalg.inv(cov), z)
     vals = np.exp(-0.5 * quad).astype(complex)
-    if window.kind == "hermite-gaussian":
-        idx = window.hermite_index if window.hermite_index else (1,) * d
-        for ax, k in enumerate(idx):
-            vals *= np.polynomial.hermite_e.hermeval(z[:, ax], [0] * k + [1])
+    for ax, k in enumerate(hermite):
+        vals *= _hermite(z[:, ax], k)
     out = vals.reshape((N,) * d)
     if np.abs(out).max() == 0.0:
         raise ValueError("window vanishes identically on the lattice")
     return out
+
+
+def _window_factors(window, d, N):
+    """The 1-D factors chi_a on the centered axis with chi = chi_0 x ... x
+    chi_{d-1}, or None when the covariance is not diagonal."""
+    center, cov, hermite = _window_params(window, d)
+    if np.count_nonzero(cov - np.diag(np.diag(cov))):
+        return None
+    z = _axis(N)[None, :] - center[:, None]
+    factors = np.exp(-0.5 * z ** 2 * np.diag(np.linalg.inv(cov))[:, None])
+    for ax, k in enumerate(hermite):
+        factors[ax] *= _hermite(z[ax], k)
+    if np.prod(np.abs(factors).max(axis=1)) == 0.0:
+        raise ValueError("window vanishes identically on the lattice")
+    return factors
 
 
 @dataclass
@@ -157,59 +188,99 @@ class WeightSpec:
 # modulation norms via the sliding frequency window
 # ---------------------------------------------------------------------------
 
-def _stft_lp(uvals, chivals, ps):
-    """Per-frequency-shift L^p norms of chi(D - xi)u, for each p in ps.
+# Elements per chunk of the shift lattice, bounding the working arrays.
+_CHUNK_ELEMS = 1 << 22
+
+
+def _stft_lp(uvals, factors, ps):
+    """Per-frequency-shift L^p norms of chi(D - xi)u for a product window
+    chi = chi_0 x ... x chi_{d-1}, for each p in ps.
 
     Returns {p: flat array over the shift lattice}.  The window slides on the
     frequency lattice with periodic wraparound (its tails are negligible for
-    the Gaussian family).
+    the Gaussian family): W_a[s, i] = chi_a[(i - s + N/2) mod N].  Each axis in
+    turn is multiplied by W_a, which adds a shift axis, and inverse-transformed.
+    Positions come out cyclically re-indexed and phase-rotated against the
+    centered convention, which no L^p norm over positions sees.  The leading
+    shift axis is chunked to bound the last stage's N^{2d-1} elements per row.
+    p = 2 needs no transform: by Parseval it is the window power applied to
+    |uhat|^2 axis by axis.
     """
     d = uvals.ndim
     N = uvals.shape[0]
-    h = _spacing(uvals)
     P = N ** d
-    uhat = _ord_ft(uvals).reshape(-1)
-    chif = chivals.reshape(-1)
-    grids = np.indices((N,) * d).reshape(d, -1)  # (d, P) raw indices
-    out = {p: np.empty(P) for p in ps}
-    chunk = int(max(1, min((1 << 22) // P, P)))
-    for i0 in range(0, P, chunk):
-        sh = grids[:, i0:i0 + chunk]  # raw shift indices
-        # rolled window: chi[(i - s + N/2) mod N] per axis
-        src = (grids[:, None, :] - sh[:, :, None] + N // 2) % N
-        flat = np.ravel_multi_index(tuple(src), (N,) * d)
-        V = chif[flat] * uhat[None, :]
-        v = np.fft.fftshift(
-            np.fft.ifftn(np.fft.ifftshift(V.reshape((-1,) + (N,) * d),
-                                          axes=tuple(range(1, d + 1))),
-                         axes=tuple(range(1, d + 1))),
-            axes=tuple(range(1, d + 1))).reshape(len(flat), P)
-        a = np.abs(v)
+    weight = _spacing(uvals) ** d
+    uhat = _ord_ft(uvals)
+    rows = P // N
+    idx = np.arange(N)
+    roll = (idx[None, :] - idx[:, None] + N // 2) % N
+    rolled = [f[roll] for f in factors]
+    out = {}
+    if 2 in ps:  # sum_x |v_s(x)|^2 = N^-d sum_i |W_s(i) uhat(i)|^2
+        power = np.abs(uhat) ** 2 / P
+        for ax, W in enumerate(rolled):
+            power = np.moveaxis(np.tensordot(W ** 2, power, axes=(1, ax)), 0, ax)
+        out[2] = np.sqrt(power.ravel() * weight)
+    ps = [p for p in ps if p != 2]
+    if not ps:
+        return out
+    out.update({p: np.empty(P) for p in ps})
+    chunk = max(1, _CHUNK_ELEMS // (rows * P))
+    for s0 in range(0, N, chunk):
+        v = uhat[None]
+        for ax, W in enumerate(rolled):
+            if ax == 0:
+                W = W[s0:s0 + chunk]
+            shape = (1, len(W)) + (1,) * ax + (N,) + (1,) * (d - ax - 1)
+            v = v[:, None] * W.reshape(shape)
+            np.fft.ifft(v, axis=ax + 2, out=v)
+            v = v.reshape((-1,) + (N,) * d)
+        v = v.reshape(-1, P)
         for p in ps:
-            if p == np.inf:
-                out[p][i0:i0 + chunk] = a.max(axis=1)
-            else:
-                out[p][i0:i0 + chunk] = (a ** p).sum(axis=1) ** (1.0 / p) * h ** (d / p)
+            out[p][s0 * rows:s0 * rows + len(v)] = _lp_rows(v, p, weight)
+    return out
+
+
+def _stft_lp_dense(uvals, chivals, ps):
+    """_stft_lp for a sampled window that need not factor, in chunks of
+    shifts; each rolled window is a view into the periodically doubled window."""
+    d = uvals.ndim
+    N = uvals.shape[0]
+    P = N ** d
+    weight = _spacing(uvals) ** d
+    uhat = _ord_ft(uvals)
+    slid = np.lib.stride_tricks.sliding_window_view(np.tile(chivals, (2,) * d),
+                                                    (N,) * d)
+    offsets = (N // 2 - np.indices((N,) * d).reshape(d, -1)) % N
+    axes = tuple(range(1, d + 1))
+    out = {p: np.empty(P) for p in ps}
+    chunk = max(1, _CHUNK_ELEMS // P)
+    for i0 in range(0, P, chunk):
+        V = slid[tuple(offsets[:, i0:i0 + chunk])] * uhat
+        v = np.fft.ifftn(V, axes=axes).reshape(-1, P)
+        for p in ps:
+            out[p][i0:i0 + len(v)] = _lp_rows(v, p, weight)
     return out
 
 
 def modulation_norms(u, window, pairs):
-    """Modulation norms for several (p, q) pairs sharing one analysis pass."""
+    """Modulation norms for several (p, q) pairs sharing one analysis pass.
+
+    A window with diagonal covariance factors over the axes and takes the
+    per-axis kernel; a full covariance takes the dense one.
+    """
     uvals = _values(u)
     d = uvals.ndim
     N = uvals.shape[0]
     h = _spacing(uvals)
-    chiv = window_values(window, d, N)
     ps = sorted({p for p, _ in pairs}, key=float)
-    slices = _stft_lp(uvals, chiv, ps)
-    out = {}
-    for p, q in pairs:
-        s = slices[p]
-        if q == np.inf:
-            out[(p, q)] = float(s.max())
-        else:
-            out[(p, q)] = float((np.sum(s ** q) * h ** d) ** (1.0 / q))
-    return out
+    factors = _window_factors(window, d, N)
+    if factors is None:
+        slices = _stft_lp_dense(uvals, window_values(window, d, N), ps)
+    else:
+        slices = _stft_lp(uvals, factors, ps)
+    return {(p, q): float(_lp_rows(slices[p][None], q, h ** d)[0])
+            for p, q in pairs}
 
 
 def modulation_norm(u, window, p, q):
@@ -317,7 +388,7 @@ def sobolev_k_norm(u, k, p):
         raise ValueError("weight dimension mismatch")
     kv = k.values(_lattice_points(N, d)).reshape(uvals.shape)
     out = _ord_ift(kv * _ord_ft(uvals))
-    return _lp(out, p, h)
+    return float(_lp_rows(out.reshape(1, -1), p, h ** d)[0])
 
 
 def _multi_indices(d, max_total):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symplecta.grid import GridFunction, make_grid
+from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
 from symplecta.weylrep import ConfigGrid, build_rep_context
 
@@ -46,3 +47,48 @@ def unit_gaussians_1d(N):
     psi = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
     psi = psi / np.linalg.norm(psi)
     return phi.astype(complex), psi.astype(complex)
+
+
+def dense_stft_lp(uvals, chivals, ps, shifts=None):
+    """Reference modulation-norm slices: for each shift (flat index, all by
+    default) the rolled window is gathered by index, multiplied into the
+    centered spectrum and inverse-transformed with the centered shifts."""
+    d = uvals.ndim
+    N = uvals.shape[0]
+    h = np.sqrt(2 * np.pi / N)
+    P = N ** d
+    axes = tuple(range(1, d + 1))
+    uhat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(uvals))).reshape(-1)
+    chif = chivals.reshape(-1)
+    grids = np.indices((N,) * d).reshape(d, -1)
+    shifts = np.arange(P) if shifts is None else np.asarray(shifts)
+    out = {p: np.empty(len(shifts)) for p in ps}
+    chunk = max(1, (1 << 20) // P)
+    for i0 in range(0, len(shifts), chunk):
+        sh = grids[:, shifts[i0:i0 + chunk]]
+        src = (grids[:, None, :] - sh[:, :, None] + N // 2) % N
+        flat = np.ravel_multi_index(tuple(src), (N,) * d)
+        V = (chif[flat] * uhat[None, :]).reshape((-1,) + (N,) * d)
+        v = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(V, axes=axes), axes=axes),
+                            axes=axes).reshape(len(flat), P)
+        a = np.abs(v)
+        for p in ps:
+            if p == np.inf:
+                out[p][i0:i0 + chunk] = a.max(axis=1)
+            else:
+                out[p][i0:i0 + chunk] = (a ** p).sum(axis=1) ** (1.0 / p) * h ** (d / p)
+    return out
+
+
+def dense_modulation_norms(uvals, window, pairs):
+    """modulation_norms through dense_stft_lp and the sampled window."""
+    d = uvals.ndim
+    N = uvals.shape[0]
+    h = np.sqrt(2 * np.pi / N)
+    slices = dense_stft_lp(uvals, window_values(window, d, N), {p for p, _ in pairs})
+    out = {}
+    for p, q in pairs:
+        s = slices[p]
+        out[(p, q)] = float(s.max() if q == np.inf
+                            else (np.sum(s ** q) * h ** d) ** (1.0 / q))
+    return out

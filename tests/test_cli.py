@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -127,3 +128,47 @@ def test_report_command_small_grid(tmp_path, capsys):
     payload = json.loads((tmp_path / "report-full.json").read_text())
     assert payload["calibration"].startswith("frozen constant")
     assert all(row["pass"] for row in payload["rows"])
+
+
+def test_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"N": 16}]))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "JSON object" in err
+    assert not (tmp_path / "report-verify-core.csv").exists()
+
+
+def test_unknown_config_key_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, sede=3)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'sede'" in err
+
+
+@pytest.mark.parametrize("key, val", [("n", "one"), ("N", "32"), ("N", 32.5),
+                                      ("seed", [1]), ("T", [["a", 0], [0, 1]]),
+                                      ("T", [[1, 0], [0]])])
+def test_non_numeric_config_value_exits_two(tmp_path, capsys, key, val):
+    cfg = write_cfg(tmp_path, **{key: val})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_n_outside_one_two_exits_two(tmp_path, capsys, n):
+    cfg = write_cfg(tmp_path, n=n, T=np.eye(2 * n).tolist())
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: n must be 1 or 2" in capsys.readouterr().err
+
+
+def test_kato_report_reads_as_seven_column_csv(tmp_path):
+    assert main(["verify", "--suite", "verify-kato", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report-verify-kato.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 23
+    for row in rows:
+        assert len(row) == 7 and None not in row
+        float(row["value"])
+    assert "thm-n14-a[T=diag(.3,.7)]" in {row["quantity"] for row in rows}

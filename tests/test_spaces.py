@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from symplecta.spaces import (WeightSpec, WindowSpec, chirp_TA, dilation_ratio,
-                              embedding_bound, modulation_norm,
-                              modulation_norms, sobolev_k_norm,
-                              symbol_class_seminorms, trig_resample,
-                              window_values)
+from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _stft_lp,
+                              _window_factors, chirp_TA, dilation_ratio,
+                              embedding_bound, modulation_norm, modulation_norms,
+                              sobolev_k_norm, symbol_class_seminorms,
+                              trig_resample, window_values)
+
+from conftest import dense_modulation_norms, dense_stft_lp
 
 rng = np.random.default_rng(61)
 H = lambda N: np.sqrt(2 * np.pi / N)
@@ -67,6 +69,71 @@ def test_stft_matches_dense_oracle():
     want = (np.sum(slices ** 2) * h) ** 0.5
     got = modulation_norm(u, WindowSpec(), 2, 2)
     assert abs(got - want) / want < 1e-10
+
+
+# (d, window) cases for the dense oracle; a 1 x 1 covariance is always diagonal,
+# so the full-covariance (non-factoring) window exists only for d >= 2
+ORACLE_WINDOWS = [
+    pytest.param(1, WindowSpec(), id="d1-default"),
+    pytest.param(1, WindowSpec(center=(0.4,), covariance=(1.3,)), id="d1-off-centre"),
+    pytest.param(1, WindowSpec(kind="hermite-gaussian", hermite_index=(2,)),
+                 id="d1-hermite"),
+    pytest.param(2, WindowSpec(), id="d2-default"),
+    pytest.param(2, WindowSpec(center=(0.4, -0.3), covariance=(1.3, 0.8)),
+                 id="d2-off-centre"),
+    pytest.param(2, WindowSpec(kind="hermite-gaussian", hermite_index=(1, 2)),
+                 id="d2-hermite"),
+    pytest.param(2, WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9)),
+                 id="d2-full-covariance"),
+]
+ORACLE_PAIRS = [(p, q) for p in (1, 2, 3, np.inf) for q in (1, 2, np.inf)]
+
+
+def oracle_input(N, d, seed=7):
+    """A tilted, modulated, off-centre Gaussian plus complex noise."""
+    mesh = np.meshgrid(*([axis(N)] * d), indexing="ij")
+    z = sum((m - 0.2 * (j + 1)) ** 2 for j, m in enumerate(mesh))
+    phase = sum((0.3 - 0.2 * j) * m for j, m in enumerate(mesh))
+    noise = np.random.default_rng(seed).standard_normal((2,) + (N,) * d)
+    return (np.exp(-z / 2.4) * (1 + 0.2 * mesh[0]) * np.exp(1j * phase)
+            + 0.01 * (noise[0] + 1j * noise[1]))
+
+
+@pytest.mark.parametrize("d, window", ORACLE_WINDOWS)
+def test_modulation_norms_match_dense_oracle(d, window):
+    N = 24 if d == 1 else 16
+    u = oracle_input(N, d)
+    got = modulation_norms(u, window, ORACLE_PAIRS)
+    want = dense_modulation_norms(u, window, ORACLE_PAIRS)
+    for pq in ORACLE_PAIRS:
+        assert abs(got[pq] - want[pq]) <= 1e-12 * want[pq], pq
+
+
+def test_window_factors_only_for_diagonal_covariance():
+    full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
+    assert _window_factors(full, 2, 16) is None
+    diag = WindowSpec(kind="hermite-gaussian", center=(0.4, -0.3),
+                      covariance=(1.2, 0.0, 0.0, 0.9))
+    f = _window_factors(diag, 2, 16)
+    assert np.abs(np.multiply.outer(f[0], f[1]) - window_values(diag, 2, 16)).max() < 1e-15
+    with pytest.raises(ValueError):
+        _window_factors(WindowSpec(center=(1e6, 0.0)), 2, 16)
+
+
+def test_stft_chunk_boundaries_match_dense_oracle_at_n128():
+    # N = 128, d = 2 runs in chunks of the leading shift axis; a single chunk
+    # would hold N^4 complex values (4 GB), so the rows on either side of the
+    # chunk boundaries are checked against the oracle instead
+    N, ps = 128, [1]
+    chunk = _CHUNK_ELEMS // N ** 3
+    assert 1 <= chunk < N
+    u = oracle_input(N, 2)
+    got = _stft_lp(u, _window_factors(WindowSpec(), 2, N), ps)
+    rows = [0, chunk - 1, chunk, N // 2 - 1, N // 2, N - 1]
+    shifts = (np.asarray(rows)[:, None] * N + np.arange(N)).ravel()
+    want = dense_stft_lp(u, window_values(WindowSpec(), 2, N), ps, shifts)
+    for p in ps:
+        assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
 
 
 def test_m22_proportional_to_l2():
