@@ -15,47 +15,57 @@ there is also the classical integral-kernel route, and the quantization is
 inverted exactly by per-diagonal coefficient extraction.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import GridFunction, apply_multiplier, pullback, symplectic_fourier
-from .weylrep import weyl_standard
+from .grid import (GridFunction, _read_rows, _write_rows, apply_multiplier, pullback,
+                   symplectic_fourier)
+from .weylrep import _shift_groups
 
-
-def _synth_fast_1d(ctx, g_flat):
-    """n=1 closed form for sum_xi g(xi) W_std(phi xi) over the full phase grid.
-
-    Splitting W_std(y, p) = modulation . F^* D(y) F collapses the double sum
-    into two dense N x N products: the modulation/shift phases factor as
-    outer products in (x, y) and (x, p).
-    """
-    config = ctx.config
-    N = config.N
-    x = config.axis
-    F = config.dft()
-    eta = ctx.phase_grid.points() @ ctx.phi.T
-    gy, gp = eta[:, 0], eta[:, 1]
-    gt = g_flat * np.exp(-0.5j * gy * gp)
-    T = (np.exp(1j * np.outer(x, gp)) * gt) @ np.exp(-1j * np.outer(x, gy)).T
-    return (F.conj().T * T) @ F
-
-
-def _synth_generic(ctx, g_flat):
-    pts = ctx.phase_grid.points()
-    M = ctx.config.M
-    out = np.zeros((M, M), complex)
-    for gi, xi in zip(g_flat, pts):
-        if gi == 0.0:
-            continue
-        out += gi * weyl_standard(ctx.config, ctx.phi @ xi)
-    return out
+_CHUNK_ELEMS = 1 << 22  # element budget of one chunk of shifts in _synthesize
 
 
 def _synthesize(ctx, g_flat):
-    if ctx.space.n == 1:
-        return _synth_fast_1d(ctx, g_flat)
-    return _synth_generic(ctx, g_flat)
+    """sum_xi g(xi) W_std(phi xi) over the phase grid, for any n and phi.
+
+    With (y, p) = phi xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
+    the self-dual grid Shift(y) = F^* diag(e^{-i<k, y>}) F is circulant for
+    every real y: Shift(y)[a, b] = c_y[a - b], the difference taken mod N per
+    axis.  Hence Op[a, b] = G[a, a - b] with G = E (Gm C): E = e^{i x p^T} over
+    the distinct p, C[y, :] = c_y over the distinct y (an inverse FFT of the
+    ramp) and Gm[p, y] = g(xi) e^{-i<y, p>/2}.  Where the points are the
+    product of their distinct y and p (every n = 1 map, block-diagonal phi at
+    n = 2) this costs O(M^3).  Chunks of whole shift groups, each with only
+    the p its points use, keep every intermediate within max(_CHUNK_ELEMS, M^2)
+    elements for every phi.
+    """
+    config = ctx.config
+    n, N, M = config.n, config.N, config.M
+    x = config.coords()
+    ys, iy, ps, ip = _shift_groups(config, ctx.phase_grid.points(), ctx.phi)
+    gt = g_flat * np.exp(-0.5j * (ys[iy] * ps[ip]).sum(1))
+    order = np.argsort(iy, kind="stable")
+    starts = np.searchsorted(iy[order], np.arange(len(ys) + 1))
+    # a chunk holds at most M shifts, and at most _CHUNK_ELEMS / M points
+    # unless all the distinct p fit that budget together
+    max_y = max(1, min(M, _CHUNK_ELEMS // M))
+    max_pts = len(iy) if len(ps) * M <= _CHUNK_ELEMS else _CHUNK_ELEMS // M
+    axes = tuple(range(1, n + 1))
+    G = np.zeros((M, M), complex)
+    y0 = 0
+    while y0 < len(ys):
+        y1 = max(y0 + 1, min(y0 + max_y, np.searchsorted(
+            starts, starts[y0] + max_pts, "right") - 1))
+        sel = order[starts[y0]:starts[y1]]
+        pu, ipl = np.unique(ip[sel], return_inverse=True)
+        Gm = np.zeros((len(pu), y1 - y0), complex)
+        Gm[ipl, iy[sel] - y0] = gt[sel]
+        ramps = np.exp(-1j * (ys[y0:y1] @ x.T)).reshape((-1,) + (N,) * n)
+        C = np.fft.ifftn(np.fft.ifftshift(ramps, axes=axes), axes=axes).reshape(-1, M)
+        G += np.exp(1j * (x @ ps[pu].T)) @ (Gm @ C)
+        y0 = y1
+    ia = np.indices((N,) * n).reshape(n, M)
+    diff = np.ravel_multi_index(tuple((ia[:, :, None] - ia[:, None, :]) % N), (N,) * n)
+    return np.take_along_axis(G, diff, axis=1)
 
 
 def quantize_T(ctx, a):
@@ -134,11 +144,15 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
 def recover_symbol(ctx, A):
     """Invert quantize_T: recover the symbol of a dense operator matrix.
 
-    Each centered matrix diagonal d collects the synthesis coefficients with
-    shift phi_11 * y = d; solving the modulation system per diagonal yields the
-    coefficient field g = w lam (F_sigma a) exactly.  When phi expands the
-    shift lattice (phi_22 = s > 1) the modulation frequencies alias s:1 and the
-    canonical low-frequency representatives are selected.
+    The centred diagonal at offset d, v_d[a] = A[a, a - d/h], collects the
+    synthesis coefficients g_d = (w lam F_sigma a)(d, .) of shift phi_11 y = d:
+    v_d = E diag(e^{-i s d x / 2}) g_d with one matrix E = e^{i s x x^T} for
+    all d, s = phi_22.  The columns of E are orthogonal with squared norm N,
+    so all diagonals are solved by one product with E^* / N, and the phases
+    are applied afterwards.  When phi expands the shift lattice (s > 1) the
+    modulation frequencies alias s:1; E then keeps the columns of the
+    canonical low-frequency representatives, and the product is their
+    least-squares fit.
     """
     if ctx.space.n != 1:
         raise ValueError("symbol recovery is implemented for n = 1")
@@ -150,27 +164,17 @@ def recover_symbol(ctx, A):
     if abs(phi[1, 1] - s) > 1e-12 or s < 1:
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
-    N, h, w = grid.N, grid.h, grid.weight
+    N, w = grid.N, grid.weight
     x = np.asarray(grid.axis)
     lam = ctx.lam_values(grid.points()).reshape(N, N)
-    g = np.zeros((N, N), complex)
     ii = np.arange(N)
-    for dz in range(N):
-        d = (dz - N // 2) * h
-        x2i = (ii - (dz - N // 2)) % N
-        vals = np.asarray(A)[ii, x2i]
-        tv = x - d / 2
-        if s == 1:
-            E = np.exp(1j * np.outer(tv, x))
-            g[dz, :] = np.linalg.solve(E, vals)
-        else:
-            reps = ii[np.abs(ii - N // 2) < N // (2 * s)]
-            E = np.exp(1j * s * np.outer(tv, x[reps]))
-            coef = np.zeros(N, complex)
-            coef[reps], *_ = np.linalg.lstsq(E, vals, rcond=None)
-            g[dz, :] = coef
-    c = g / (lam * w)
-    return symplectic_fourier(GridFunction(grid, c))
+    reps = ii if s == 1 else ii[np.abs(ii - N // 2) < N // (2 * s)]
+    # V[a, dz] = A[a, a - (dz - N/2)]: column dz is the diagonal at d = x[dz]
+    V = np.take_along_axis(np.asarray(A), (ii[:, None] - ii[None, :] + N // 2) % N, axis=1)
+    g = np.zeros((N, N), complex)
+    g[:, reps] = V.T @ np.exp(-1j * s * np.outer(x, x[reps])) / N
+    g *= np.exp(0.5j * s * np.outer(x, x))
+    return symplectic_fourier(GridFunction(grid, g / (lam * w)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +185,9 @@ def write_operator(A, path):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be a square matrix")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"symplecta-op v1, M={A.shape[0]}\n")
-        for v in A.ravel():
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
+    _write_rows(path, f"symplecta-op v1, M={A.shape[0]}", A)
 
 
 def read_operator(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("symplecta-op v1"):
-            raise ValueError("not a symplecta-op v1 file")
-        fields = dict(part.strip().split("=") for part in header.split(",")[1:])
-        M = int(fields["M"])
-        vals = np.empty(M * M, complex)
-        for i in range(vals.size):
-            re, im = fh.readline().split(",")
-            vals[i] = float(re) + 1j * float(im)
+    (M,), vals = _read_rows(path, "symplecta-op v1", ("M",), lambda M: M * M)
     return vals.reshape(M, M)

@@ -67,10 +67,7 @@ class RunConfig:
         return T
 
     def tol(self, tag, default):
-        val = float(self.tolerances.get(tag, default))
-        if val <= 0:
-            raise ConfigError(f"tolerance for {tag} must be positive")
-        return val
+        return float(self.tolerances.get(tag, default))
 
 
 CONFIG_KEYS = ("n", "N", "T", "symbol", "suite", "route", "seed", "out",
@@ -131,6 +128,10 @@ def load_config(args):
         raise ConfigError("T must be a 2n x 2n matrix (row-major)")
     if not isinstance(cfg.tolerances, dict):
         raise ConfigError("tolerances must be a mapping")
+    for tag, val in cfg.tolerances.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+            raise ConfigError(f"tolerances[{tag!r}] must be a positive number, "
+                              f"got {val!r}")
     return cfg
 
 
@@ -151,8 +152,8 @@ def _symbol_from_dict(d, grid):
                       path=d.get("path", ""))
     try:
         return sample_symbol(spec, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    except (OSError, ValueError) as exc:  # OSError: an unreadable symbol file
+        raise ConfigError(f"symbol.path: {exc}" if spec.kind == "file" else str(exc))
 
 
 def _context(cfg, T=None, N=None):

@@ -17,6 +17,17 @@ import numpy as np
 from .symplin import SymplecticSpace, sigma_eval
 
 
+def _axis(N):
+    """Centered self-dual lattice axis {-N/2, ..., N/2-1} * sqrt(2pi/N)."""
+    return (np.arange(N) - N // 2) * np.sqrt(2 * np.pi / N)
+
+
+def _lattice_points(N, d):
+    """All N^d points of the d-dimensional centered lattice, lexicographic."""
+    mesh = np.meshgrid(*([_axis(N)] * d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform self-dual grid on W = R^{2n}."""
@@ -41,7 +52,7 @@ class PhaseGrid:
     @property
     def axis(self):
         """Centered axis coordinates {-N/2, ..., N/2-1} * h."""
-        return (np.arange(self.N) - self.N // 2) * self.h
+        return _axis(self.N)
 
     @property
     def weight(self):
@@ -54,8 +65,7 @@ class PhaseGrid:
 
     def points(self):
         """All grid points as an (N^{2n}, 2n) array in lexicographic order."""
-        mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _lattice_points(self.N, self.dim)
 
     def space(self):
         return SymplecticSpace(self.n)
@@ -127,7 +137,11 @@ def sample_symbol(spec, grid):
     center = np.zeros(d) if len(spec.center) == 0 else np.asarray(spec.center, float)
     z = pts - center
     if spec.kind == "file":
-        return read_grid_function(spec.path)
+        f = read_grid_function(spec.path)
+        if f.grid != grid:
+            raise ValueError(f"symbol file {spec.path} holds a grid with n={f.grid.n}, "
+                             f"N={f.grid.N}, not n={grid.n}, N={grid.N}")
+        return f
     cov = _covariance_matrix(spec, d)
     quad = np.einsum("ia,ab,ib->i", z, np.linalg.inv(cov), z)
     vals = np.exp(-0.5 * quad).astype(complex)
@@ -217,7 +231,7 @@ def pullback(A, f, mode="exact"):
         if Ai is None:
             if mode == "exact":
                 raise ValueError("exact pullback needs a lattice map; use mode='resampled'")
-            return _resample(A, f, mask_outside=True)
+            return GridFunction(grid, _resample(f.values, A, mask_outside=True))
         m = _index_mesh(grid)
         tgt = m @ Ai.T
         if mode == "exact":
@@ -233,44 +247,44 @@ def pullback(A, f, mode="exact"):
             out = out.reshape(f.values.shape)
         return GridFunction(grid, out)
     if mode == "resampled":
-        return _resample(A, f, mask_outside=False)
+        return GridFunction(grid, _resample(f.values, A))
     raise ValueError(f"unknown pullback mode {mode!r}")
 
 
-def _resample(A, f, mask_outside):
-    """Trigonometric interpolation of f at the points A * xi over the grid."""
-    grid = f.grid
-    N, h, d = grid.N, grid.h, grid.dim
-    L = grid.box_length
+def _resample(vals, A, mask_outside=False):
+    """Trigonometric interpolation of lattice samples (any dimension d) at the
+    points A x of the same lattice; with mask_outside, points that leave the
+    fundamental box give 0."""
+    N, d = vals.shape[0], vals.ndim
+    ax = _axis(N)
+    L = N * np.sqrt(2 * np.pi / N)
     # Fourier coefficients over the centered frequency lattice (same lattice).
-    fk = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) / N**d
-    tgt = grid.points() @ A.T  # (P, d)
-    if np.abs(np.abs(A) - np.abs(np.diag(np.diag(A)))).max() < 1e-14:
+    fk = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals))) / N**d
+    if np.abs(A - np.diag(np.diag(A))).max() < 1e-14:
         # diagonal map: separable per-axis interpolation, O(d N^{d+1})
         out = fk
-        for ax in range(d):
-            E = np.exp(1j * np.outer(A[ax, ax] * grid.axis, grid.axis))  # (t, k)
-            out = np.moveaxis(np.tensordot(E, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
-        vals = out
+        for i in range(d):
+            E = np.exp(1j * np.outer(A[i, i] * ax, ax))  # (t, k)
+            out = np.moveaxis(np.tensordot(E, np.moveaxis(out, i, 0), axes=(1, 0)), 0, i)
         if mask_outside:
-            for ax in range(d):
-                t = A[ax, ax] * grid.axis
-                bad = (t < -L / 2 - 1e-12) | (t >= L / 2 - 1e-12)
+            for i in range(d):
+                t = A[i, i] * ax
                 sl = [slice(None)] * d
-                sl[ax] = bad
-                vals[tuple(sl)] = 0.0
-        return GridFunction(grid, vals)
-    kpts = grid.points()
-    vals = np.empty(tgt.shape[0], complex)
+                sl[i] = (t < -L / 2 - 1e-12) | (t >= L / 2 - 1e-12)
+                out[tuple(sl)] = 0.0
+        return out
+    kpts = _lattice_points(N, d)
+    tgt = kpts @ A.T  # (P, d)
+    out = np.empty(tgt.shape[0], complex)
     fkv = fk.ravel()
     chunk = max(1, (1 << 22) // kpts.shape[0])
     for i0 in range(0, tgt.shape[0], chunk):
         ph = np.exp(1j * (tgt[i0:i0 + chunk] @ kpts.T))
-        vals[i0:i0 + chunk] = ph @ fkv
+        out[i0:i0 + chunk] = ph @ fkv
     if mask_outside:
         inbox = np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)
-        vals[~inbox] = 0.0
-    return GridFunction(grid, vals.reshape(f.values.shape))
+        out[~inbox] = 0.0
+    return out.reshape(vals.shape)
 
 
 def translate(xi, f, mode="auto"):
@@ -303,25 +317,38 @@ def sigma_convolve(b, c):
 
 
 # ---------------------------------------------------------------------------
-# file format: header `symplecta-grid v1, n=<n>, N=<N>`, then re,im rows
+# text codec of grid and operator files: one header line, then one `re,im`
+# row per complex value, written by repr so that reads are bit-exact
 # ---------------------------------------------------------------------------
 
-def write_grid_function(f, path):
+def _write_rows(path, header, values):
+    v = np.asarray(values, dtype=complex).ravel()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"symplecta-grid v1, n={f.grid.n}, N={f.grid.N}\n")
-        for v in f.values.ravel():
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.write(header + "\n" + "".join(
+            f"{re!r},{im!r}\n" for re, im in zip(v.real.tolist(), v.imag.tolist())))
+
+
+def _read_rows(path, magic, keys, count):
+    """Integer header fields `keys` and complex values of a grid or operator file;
+    ValueError unless the header is `magic` and the body holds count(*fields) rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        fields = dict(part.strip().split("=", 1) for part in header.split(",")[1:]
+                      if "=" in part)
+        if not (header.startswith(magic) and all(fields.get(k, "").isdigit() for k in keys)):
+            raise ValueError(f"not a {magic} file: {header!r}")
+        dims = [int(fields[k]) for k in keys]
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.shape != (count(*dims), 2):
+        raise ValueError(f"{path}: expected {count(*dims)} re,im rows, found {len(rows)}")
+    return dims, rows.view(complex).ravel()
+
+
+def write_grid_function(f, path):
+    _write_rows(path, f"symplecta-grid v1, n={f.grid.n}, N={f.grid.N}", f.values)
 
 
 def read_grid_function(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("symplecta-grid v1"):
-            raise ValueError("not a symplecta-grid v1 file")
-        fields = dict(part.strip().split("=") for part in header.split(",")[1:])
-        grid = make_grid(int(fields["n"]), int(fields["N"]))
-        vals = np.empty(grid.N ** grid.dim, complex)
-        for i in range(vals.size):
-            re, im = fh.readline().split(",")
-            vals[i] = float(re) + 1j * float(im)
-    return GridFunction(grid, vals)
+    (n, N), vals = _read_rows(path, "symplecta-grid v1", ("n", "N"),
+                              lambda n, N: N ** (2 * n))
+    return GridFunction(make_grid(n, N), vals)

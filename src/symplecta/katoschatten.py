@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import quantize_T
 from .grid import GridFunction, apply_multiplier, sigma_convolve, symplectic_fourier
-from .weylrep import _shift_groups, matrix_coefficient, u_conjugator
+from .weylrep import _per_shift, matrix_coefficient, u_conjugator
 
 
 @dataclass
@@ -88,7 +88,7 @@ def _accumulate(ctx, pts, bv, G):
     Fh = F.conj().T
     Ghat = F @ G @ Fh
     acc = np.zeros_like(G)
-    for idx, r, E in _shift_groups(ctx.config, pts, ctx.phi @ ctx.Sinv):
+    for idx, r, E in _per_shift(ctx.config, pts, ctx.phi @ ctx.Sinv):
         X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
         acc += X * ((E * bv[idx]) @ E.conj().T)
     return acc

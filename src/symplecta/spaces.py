@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _axis, _lattice_points, _resample
 
 
 def _values(u):
@@ -28,15 +28,6 @@ def _spacing(vals):
     if any(s != N for s in vals.shape):
         raise ValueError("expected a cubical lattice")
     return np.sqrt(2 * np.pi / N)
-
-
-def _axis(N):
-    return (np.arange(N) - N // 2) * np.sqrt(2 * np.pi / N)
-
-
-def _lattice_points(N, d):
-    mesh = np.meshgrid(*([_axis(N)] * d), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _ord_ft(vals, axes=None):
@@ -310,8 +301,7 @@ def chirp_TA(A, u):
     N = vals.shape[0]
     axes = tuple(range(vals.ndim - m, vals.ndim))
     Ainv = np.linalg.inv(A)
-    mesh = np.meshgrid(*([_axis(N)] * m), indexing="ij")
-    xi = np.stack(mesh, axis=-1)
+    xi = _lattice_points(N, m).reshape((N,) * m + (m,))
     phase = np.exp(-0.5j * np.einsum("...a,ab,...b->...", xi, Ainv, xi))
     shape = (1,) * (vals.ndim - m) + (N,) * m
     out = _ord_ift(phase.reshape(shape) * _ord_ft(vals, axes), axes)
@@ -323,27 +313,7 @@ def chirp_TA(A, u):
 def trig_resample(vals, A):
     """Band-limited (trigonometric) evaluation of vals at the points A x over
     the same lattice; separable fast path for diagonal A."""
-    A = np.asarray(A, dtype=float)
-    d = vals.ndim
-    N = vals.shape[0]
-    fk = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals))) / N ** d
-    ax = _axis(N)
-    if np.abs(A - np.diag(np.diag(A))).max() < 1e-14:
-        out = fk
-        for axn in range(d):
-            E = np.exp(1j * np.outer(A[axn, axn] * ax, ax))
-            out = np.moveaxis(np.tensordot(E, np.moveaxis(out, axn, 0), axes=(1, 0)),
-                              0, axn)
-        return out
-    pts = _lattice_points(N, d)
-    tgt = pts @ A.T
-    fkv = fk.ravel()
-    vals_out = np.empty(tgt.shape[0], complex)
-    chunk = max(1, (1 << 22) // pts.shape[0])
-    for i0 in range(0, tgt.shape[0], chunk):
-        ph = np.exp(1j * (tgt[i0:i0 + chunk] @ pts.T))
-        vals_out[i0:i0 + chunk] = ph @ fkv
-    return vals_out.reshape(vals.shape)
+    return _resample(vals, np.asarray(A, dtype=float))
 
 
 def dilation_ratio(u, lam, p, q, window=None):

@@ -13,11 +13,11 @@ W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi).  The conjugators are
 U(xi) = W_tilde(S^{-1} xi).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, PhaseGrid
+from .grid import GridFunction, PhaseGrid, _axis, _lattice_points
 from .symplin import (SymplecticSpace, factor_sigma_symmetric, nondegeneracy_gate,
                       sigma_eval)
 
@@ -39,12 +39,11 @@ class ConfigGrid:
 
     @property
     def axis(self):
-        return (np.arange(self.N) - self.N // 2) * self.h
+        return _axis(self.N)
 
     def coords(self):
-        """Flattened coordinates of all M configuration points, shape (M, n)."""
-        mesh = np.meshgrid(*([self.axis] * self.n), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All M configuration points, shape (M, n); also the frequencies of dft()."""
+        return _lattice_points(self.N, self.n)
 
     def dft(self):
         """Centered unitary DFT matrix on C^M (tensor power of the 1-D kernel)."""
@@ -66,7 +65,6 @@ class RepContext:
     detS: float
     config: ConfigGrid
     phase_grid: PhaseGrid
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def Sinv(self):
@@ -94,33 +92,21 @@ def build_rep_context(space, T, config):
                       config=config, phase_grid=PhaseGrid(space.n, config.N))
 
 
-def _config_ops(config):
-    x = config.coords()  # (M, n)
-    F = config.dft()
-    k = x  # self-dual: frequency lattice equals the coordinate lattice
-    return x, k, F
-
-
 def weyl_standard(config, xi):
     """The standard Weyl unitary W_std(y, p) for xi = (y, p), y, p in R^n."""
     xi = np.asarray(xi, dtype=float)
     n = config.n
     y, p = xi[:n], xi[n:]
-    x, k, F = _config_ops(config)
-    shift = F.conj().T @ (np.exp(-1j * (k @ y))[:, None] * F)
+    x = config.coords()
+    F = config.dft()
+    shift = F.conj().T @ (np.exp(-1j * (x @ y))[:, None] * F)
     mod = np.exp(1j * ((x - y / 2) @ p))
     return mod[:, None] * shift
 
 
 def weyl_tilde(ctx, xi):
     """W_tilde(xi) = W_std(phi xi): the normalized (Weyl-relation) system."""
-    xi = np.asarray(xi, dtype=float)
-    key = ("wt", tuple(np.round(xi, 12)))
-    got = ctx._cache.get(key)
-    if got is None:
-        got = weyl_standard(ctx.config, ctx.phi @ xi)
-        ctx._cache[key] = got
-    return got
+    return weyl_standard(ctx.config, ctx.phi @ np.asarray(xi, dtype=float))
 
 
 def weyl_W(ctx, xi):
@@ -156,30 +142,49 @@ def u_conjugator_batch(ctx, pts):
     n = ctx.space.n
     eta = pts @ (ctx.phi @ ctx.Sinv).T  # arguments of W_std
     y, p = eta[:, :n], eta[:, n:]
-    x, k, F = _config_ops(ctx.config)
-    ramps = np.exp(-1j * (y @ k.T))  # (P, M) frequency ramps
+    x = ctx.config.coords()
+    F = ctx.config.dft()
+    ramps = np.exp(-1j * (y @ x.T))  # (P, M) frequency ramps
     shifts = np.einsum("ak,ik,kb->iab", F.conj().T, ramps, F, optimize=True)
     mods = np.exp(1j * ((x[None, :, :] - y[:, None, :] / 2) * p[:, None, :]).sum(-1))
     return mods[:, :, None] * shifts
 
 
+def _distinct_rows(a):
+    """np.unique(a, axis=0, return_inverse=True) through one lexsort."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), bool)
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inv = np.empty(len(a), np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return s[new], inv
+
+
 def _shift_groups(config, pts, A):
-    """Group phase points by the shift y of W_std(y, p), (y, p) = A xi.
+    """Distinct shifts and modulations of W_std(y, p) over points, (y, p) = A xi.
 
     W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y) with Mod(p) = diag(e^{i<x, p>})
-    and Shift(y) = F^* diag(r) F, r = e^{-i<k, y>}.  Points are grouped by
-    exact equality of y, which assumes nothing about A.  Yields, for each
-    distinct y, the indices of its points, the ramp r (M,) and the modulation
-    columns E = e^{i x p^T} (M, P_y).
+    and Shift(y) = F^* diag(r) F, r = e^{-i<k, y>}.  Returns (ys, iy, ps, ip):
+    the distinct shifts ys (Ny, n), the distinct modulations ps (Np, n) and,
+    per point, the index iy of its y in ys and ip of its p in ps.  Values are
+    grouped by exact equality, which assumes nothing about A.
     """
     n = config.n
     eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
-    ys, inv = np.unique(eta[:, :n], axis=0, return_inverse=True)
-    inv = inv.ravel()
-    groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
-    x, k, _ = _config_ops(config)
+    ys, iy = _distinct_rows(eta[:, :n])
+    ps, ip = _distinct_rows(eta[:, n:])
+    return ys, iy, ps, ip
+
+
+def _per_shift(config, pts, A):
+    """For each distinct shift y of _shift_groups: the indices of its points,
+    the ramp r (M,) and the modulation columns E = e^{i x p^T} (M, P_y)."""
+    ys, iy, ps, ip = _shift_groups(config, pts, A)
+    x = config.coords()
+    groups = np.split(np.argsort(iy, kind="stable"), np.cumsum(np.bincount(iy))[:-1])
     for y, idx in zip(ys, groups):
-        yield idx, np.exp(-1j * (k @ y)), np.exp(1j * (x @ eta[idx, n:].T))
+        yield idx, np.exp(-1j * (x @ y)), np.exp(1j * (x @ ps[ip[idx]].T))
 
 
 def _mod_shift_coefficients(ctx, phi_v, psi_v, A):
@@ -193,7 +198,7 @@ def _mod_shift_coefficients(ctx, phi_v, psi_v, A):
     phi_c = np.conj(np.asarray(phi_v, complex).ravel())
     psi_hat = F @ np.asarray(psi_v, complex).ravel()
     vals = np.empty(pts.shape[0], complex)
-    for idx, r, E in _shift_groups(ctx.config, pts, A):
+    for idx, r, E in _per_shift(ctx.config, pts, A):
         vals[idx] = E.T @ (phi_c * (F.conj().T @ (r * psi_hat)))
     return vals
 

@@ -4,7 +4,7 @@ import pytest
 from symplecta.grid import GridFunction, make_grid
 from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
-from symplecta.weylrep import ConfigGrid, build_rep_context
+from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
 
 SUITE_T = {
     "half": 0.5 * np.eye(2),
@@ -91,4 +91,33 @@ def dense_modulation_norms(uvals, window, pairs):
         s = slices[p]
         out[(p, q)] = float(s.max() if q == np.inf
                             else (np.sum(s ** q) * h ** d) ** (1.0 / q))
+    return out
+
+
+def synth_fast_1d(ctx, g_flat):
+    """Reference n = 1 synthesis sum_xi g(xi) W_std(phi xi) over the phase grid.
+
+    Splitting W_std(y, p) = modulation . F^* D(y) F collapses the double sum
+    into two dense N x N products: the modulation/shift phases factor as
+    outer products in (x, y) and (x, p).
+    """
+    config = ctx.config
+    x = config.axis
+    F = config.dft()
+    eta = ctx.phase_grid.points() @ ctx.phi.T
+    gy, gp = eta[:, 0], eta[:, 1]
+    gt = g_flat * np.exp(-0.5j * gy * gp)
+    T = (np.exp(1j * np.outer(x, gp)) * gt) @ np.exp(-1j * np.outer(x, gy)).T
+    return (F.conj().T * T) @ F
+
+
+def synth_generic(ctx, g_flat):
+    """Reference synthesis for any n: one dense W_std(phi xi) per phase point."""
+    pts = ctx.phase_grid.points()
+    M = ctx.config.M
+    out = np.zeros((M, M), complex)
+    for gi, xi in zip(g_flat, pts):
+        if gi == 0.0:
+            continue
+        out += gi * weyl_standard(ctx.config, ctx.phi @ xi)
     return out

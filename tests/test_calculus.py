@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import SUITE_T, gaussian, make_ctx
-from symplecta.calculus import (inverse_lambda_transform, lambda_transform,
-                                quantize_T, quantize_theta_tau_kernel,
-                                quantize_weyl, read_operator, recover_symbol,
-                                write_operator)
-from symplecta.grid import GridFunction, make_grid
+from conftest import MIXED_T2, SUITE_T, gaussian, make_ctx, synth_fast_1d, synth_generic
+from symplecta import calculus
+from symplecta.calculus import (_synthesize, inverse_lambda_transform,
+                                lambda_transform, quantize_T,
+                                quantize_theta_tau_kernel, quantize_weyl,
+                                read_operator, recover_symbol, write_operator)
+from symplecta.grid import (GridFunction, make_grid, read_grid_function,
+                            symplectic_fourier, write_grid_function)
 
 rng = np.random.default_rng(53)
 
@@ -127,3 +129,105 @@ def test_operator_file_rejects_foreign_header(tmp_path):
         read_operator(path)
     with pytest.raises(ValueError):
         write_operator(np.ones((2, 3)), tmp_path / "rect.txt")
+
+
+def _random_coefficients(ctx):
+    P = ctx.phase_grid.points().shape[0]
+    return rng.standard_normal(P) + 1j * rng.standard_normal(P)
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() < rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [12, 16])
+@pytest.mark.parametrize("name", sorted(SUITE_T))
+def test_synthesis_matches_dense_oracle_n1(name, N):
+    ctx = make_ctx(SUITE_T[name], N=N)
+    g = _random_coefficients(ctx)
+    _assert_close(_synthesize(ctx, g), synth_fast_1d(ctx, g))
+
+
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("T", [pytest.param(0.5 * np.eye(4), id="half"),
+                               pytest.param(MIXED_T2, id="mixed")])
+def test_synthesis_matches_dense_oracle_n2(T, N):
+    # MIXED_T2's phi has a nonzero x-p block: its points are no product of
+    # their distinct shifts and modulations
+    ctx = make_ctx(T, N=N, n=2)
+    g = _random_coefficients(ctx)
+    _assert_close(_synthesize(ctx, g), synth_generic(ctx, g))
+
+
+def test_synthesis_split_into_shift_chunks(monkeypatch):
+    # the 12 distinct p need 12 M elements, over a budget of 3 M: the N = 12
+    # map is summed one shift group at a time (MIXED_T2 at N = 4 above splits
+    # its 64 shifts into chunks of M = 16 under the real budget)
+    ctx = make_ctx(SUITE_T["general"], N=12)
+    monkeypatch.setattr(calculus, "_CHUNK_ELEMS", 3 * ctx.config.M)
+    g = _random_coefficients(ctx)
+    _assert_close(_synthesize(ctx, g), synth_fast_1d(ctx, g))
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_T))
+def test_symbol_recovery_inverts_quantization_of_rough_symbols(name):
+    # recovery is exact on every coefficient it can see: all of them for
+    # s = phi_22 = 1, the modulation indices |j - N/2| < N/(2s) for the
+    # expanding T = I (s = 2)
+    N = 16
+    ctx = make_ctx(SUITE_T[name], N=N)
+    s = int(round(ctx.phi[1, 1]))
+    coef = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    coef[:, np.abs(np.arange(N) - N // 2) >= N // (2 * s)] = 0.0
+    a = symplectic_fourier(GridFunction(ctx.phase_grid, coef))
+    back = recover_symbol(ctx, quantize_T(ctx, a))
+    _assert_close(back.values, a.values, 1e-10)
+
+
+@pytest.mark.parametrize("T", [
+    pytest.param(0.5 * np.eye(4), id="half"),
+    # the n = 1 map "general" on each (x_i, p_i) pair
+    pytest.param(np.kron(SUITE_T["general"], np.eye(2)), id="general-pairs")])
+def test_two_quantization_routes_agree_n2_N16(T):
+    ctx = make_ctx(T, N=16, n=2)
+    a = gaussian(ctx.phase_grid, 1.0, center=(0.3, -0.2, 0.1, 0.0), tilt=0.1)
+    A1 = quantize_T(ctx, a)
+    A2 = quantize_weyl(ctx, lambda_transform(ctx, a))
+    assert np.linalg.norm(A1 - A2) / np.linalg.norm(A1) < 1e-7
+
+
+CODECS = {
+    "grid": (lambda v, path: write_grid_function(GridFunction(make_grid(1, 4), v), path),
+             lambda path: read_grid_function(path).values.ravel()),
+    "operator": (lambda v, path: write_operator(v.reshape(4, 4), path),
+                 lambda path: read_operator(path).ravel()),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_text_codec_round_trip_is_bit_exact(tmp_path, codec):
+    write, read = CODECS[codec]
+    special = [complex(-0.0, 5e-324), complex(1e308, -1e308), complex(0.0, -0.0),
+               complex(-5e-324, 2.2250738585072014e-308)]
+    v = np.concatenate([special, rng.standard_normal(12) * 10.0 ** rng.integers(-300, 300, 12)
+                        + 1j * rng.standard_normal(12)])
+    path = tmp_path / "f.txt"
+    write(v, path)
+    assert path.read_text().splitlines()[1:3] == ["-0.0,5e-324", "1e+308,-1e+308"]
+    back = read(path)
+    assert np.array_equal(back.view(np.int64), v.view(np.int64))
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_text_codec_rejects_truncated_and_overlong_files(tmp_path, codec):
+    write, read = CODECS[codec]
+    path = tmp_path / "f.txt"
+    write(rng.standard_normal(16) + 1j * rng.standard_normal(16), path)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    for bad in (text[:len(text) // 2],           # cut inside a row
+                "".join(lines[:-1]),              # one row short
+                text + lines[-1]):                # one row too many
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read(path)

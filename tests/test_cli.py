@@ -172,3 +172,28 @@ def test_kato_report_reads_as_seven_column_csv(tmp_path):
         assert len(row) == 7 and None not in row
         float(row["value"])
     assert "thm-n14-a[T=diag(.3,.7)]" in {row["quantity"] for row in rows}
+
+
+def test_non_numeric_tolerance_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tolerances={"thm-n4": "abc"})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: tolerances['thm-n4'] must be" in capsys.readouterr().err
+    assert not (tmp_path / "report-verify-core.csv").exists()
+
+
+def test_missing_symbol_file_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, N=16, symbol={"kind": "file",
+                                            "path": str(tmp_path / "none.sgrid")})
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: symbol.path" in err and "none.sgrid" in err
+
+
+def test_symbol_file_on_another_grid_exits_two(tmp_path, capsys):
+    sym = tmp_path / "n16.sgrid"
+    write_grid_function(GridFunction(make_grid(1, 16), np.ones((16, 16))), sym)
+    cfg = write_cfg(tmp_path, N=32, symbol={"kind": "file", "path": str(sym)})
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: symbol.path" in err and "N=16" in err
+    assert not (tmp_path / "op-synthesis.txt").exists()

@@ -6,10 +6,11 @@ from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, make_ctx,
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
 from symplecta.grid import GridFunction
 from symplecta.symplin import SymplecticSpace
-from symplecta.weylrep import (ConfigGrid, build_rep_context, field_generator,
-                               matrix_coefficient, orthogonality_integral,
-                               u_conjugator, u_conjugator_batch, weyl_standard,
-                               weyl_tilde, weyl_W)
+from symplecta.weylrep import (ConfigGrid, _distinct_rows, build_rep_context,
+                               field_generator, matrix_coefficient,
+                               orthogonality_integral, u_conjugator,
+                               u_conjugator_batch, weyl_standard, weyl_tilde,
+                               weyl_W)
 
 rng = np.random.default_rng(41)
 SP = SymplecticSpace(1)
@@ -128,3 +129,12 @@ def test_orthogonality_integral_value(name):
     val = orthogonality_integral(ctx, phi, psi)
     want = np.sqrt(ctx.detS)
     assert abs(val - want) / want < 1e-2
+
+
+def test_distinct_rows_match_numpy_unique():
+    rows = rng.integers(-3, 4, (200, 2)) * 0.5
+    rows[rows == 0.0] = -0.0  # equal to 0.0, as in np.unique
+    rows[::7] = 0.0
+    want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+    got, inv = _distinct_rows(rows)
+    assert np.array_equal(got, want) and np.array_equal(inv, want_inv.ravel())
