@@ -17,8 +17,8 @@ inverted exactly by per-diagonal coefficient extraction.
 
 import numpy as np
 
-from .grid import (GridFunction, _read_rows, _write_rows, apply_multiplier, pullback,
-                   symplectic_fourier)
+from .grid import (GridFunction, _centred_diagonals, _ord_ft, _ord_ift, _read_rows,
+                   _write_rows, apply_multiplier, pullback, symplectic_fourier)
 from .weylrep import _shift_groups
 
 _CHUNK_ELEMS = 1 << 22  # element budget of one chunk of shifts in _synthesize
@@ -30,9 +30,10 @@ def _synthesize(ctx, g_flat):
     With (y, p) = phi xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
     the self-dual grid Shift(y) = F^* diag(e^{-i<k, y>}) F is circulant for
     every real y: Shift(y)[a, b] = c_y[a - b], the difference taken mod N per
-    axis.  Hence Op[a, b] = G[a, a - b] with G = E (Gm C): E = e^{i x p^T} over
-    the distinct p, C[y, :] = c_y over the distinct y (an inverse FFT of the
-    ramp) and Gm[p, y] = g(xi) e^{-i<y, p>/2}.  Where the points are the
+    axis.  Hence Op[a, b] = G[a, a - b + N/2] (the centred diagonals of G) with
+    G = E (Gm C): E = e^{i x p^T} over the distinct p, C[y, :] = c_y in centred
+    order over the distinct y (a centred inverse FFT of the ramp) and
+    Gm[p, y] = g(xi) e^{-i<y, p>/2}.  Where the points are the
     product of their distinct y and p (every n = 1 map, block-diagonal phi at
     n = 2) this costs O(M^3).  Chunks of whole shift groups, each with only
     the p its points use, keep every intermediate within max(_CHUNK_ELEMS, M^2)
@@ -60,12 +61,10 @@ def _synthesize(ctx, g_flat):
         Gm = np.zeros((len(pu), y1 - y0), complex)
         Gm[ipl, iy[sel] - y0] = gt[sel]
         ramps = np.exp(-1j * (ys[y0:y1] @ x.T)).reshape((-1,) + (N,) * n)
-        C = np.fft.ifftn(np.fft.ifftshift(ramps, axes=axes), axes=axes).reshape(-1, M)
+        C = _ord_ift(ramps, axes).reshape(-1, M)
         G += np.exp(1j * (x @ ps[pu].T)) @ (Gm @ C)
         y0 = y1
-    ia = np.indices((N,) * n).reshape(n, M)
-    diff = np.ravel_multi_index(tuple((ia[:, :, None] - ia[:, None, :]) % N), (N,) * n)
-    return np.take_along_axis(G, diff, axis=1)
+    return _centred_diagonals(G, n, N)
 
 
 def quantize_T(ctx, a):
@@ -120,6 +119,10 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
     x1 - x2 is replaced by its centered representative so every matrix entry
     uses the near side of the torus.  The formula reads tau only, so it is
     Op_T only where theta + tau = 1; other pairs are rejected.
+
+    With B1k[k, z] the frequency-k coefficient of the partial integral at
+    difference z, K[x1, x2] = Q[x1, z] for z = x1 - x2 centered, where
+    Q = e^{i x k^T} (B1k o e^{-i tau k z^T}): the centred diagonals of Q.
     """
     if grid.n != 1:
         raise ValueError("the kernel route is implemented for n = 1")
@@ -130,15 +133,9 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
     av = a.values
     ph = np.exp(1j * np.outer(x, x))
     B1 = (av @ ph.T) * (h / (2 * np.pi))  # partial k-integral, indexed [x, z]
-    B1k = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(B1, axes=0), axis=0), axes=0) / N
-    ii = np.arange(N)
-    DI = ((ii[:, None] - ii[None, :] + N // 2) % N) - N // 2
-    tgt = x[:, None] - tau * (DI * h)
-    zidx = DI + N // 2
-    K = np.zeros((N, N), complex)
-    for ki, kv in enumerate(x):
-        K += B1k[ki, zidx] * np.exp(1j * kv * tgt)
-    return K * h
+    B1k = _ord_ft(B1, (0,)) / N
+    Q = ph @ (B1k * np.exp(-1j * tau * np.outer(x, x)))
+    return _centred_diagonals(Q, 1, N) * h
 
 
 def recover_symbol(ctx, A):
@@ -169,8 +166,7 @@ def recover_symbol(ctx, A):
     lam = ctx.lam_values(grid.points()).reshape(N, N)
     ii = np.arange(N)
     reps = ii if s == 1 else ii[np.abs(ii - N // 2) < N // (2 * s)]
-    # V[a, dz] = A[a, a - (dz - N/2)]: column dz is the diagonal at d = x[dz]
-    V = np.take_along_axis(np.asarray(A), (ii[:, None] - ii[None, :] + N // 2) % N, axis=1)
+    V = _centred_diagonals(A, 1, N)  # column dz is the diagonal at d = x[dz]
     g = np.zeros((N, N), complex)
     g[:, reps] = V.T @ np.exp(-1j * s * np.outer(x, x[reps])) / N
     g *= np.exp(0.5j * s * np.outer(x, x))

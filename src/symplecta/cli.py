@@ -20,13 +20,12 @@ import numpy as np
 from .calculus import (quantize_T, quantize_theta_tau_kernel, quantize_weyl,
                        lambda_transform, write_operator)
 from .cocycle import MultiplierContext, cocycle_residual, coboundary_residual, omega
-from .grid import (GridFunction, make_grid, sample_symbol, symplectic_fourier,
-                   SymbolSpec)
+from .grid import (GridFunction, _axis, _gaussian, _ord_ft, make_grid, sample_symbol,
+                   symplectic_fourier, SymbolSpec)
 from .katoschatten import (bound_suite, kato_identity_residual, kato_synthesis,
                            multiplier_identity_residual, NormReport)
 from .spaces import (WeightSpec, WindowSpec, chirp_TA, dilation_ratio,
-                     embedding_bound, modulation_norm, sobolev_k_norm, _ord_ft,
-                     _values)
+                     embedding_bound, modulation_norm, sobolev_k_norm)
 from .symplin import SymplecticSpace, nondegeneracy_gate
 from .weylrep import ConfigGrid, build_rep_context, orthogonality_integral
 
@@ -163,14 +162,6 @@ def _context(cfg, T=None, N=None):
         return build_rep_context(space, T, ConfigGrid(cfg.n, N or cfg.N))
     except ValueError as exc:
         raise VerificationFailure(str(exc))
-
-
-def _gaussian(grid, width, center=None, tilt=0.0):
-    pts = grid.points()
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, float)
-    z = pts - c
-    vals = np.exp(-(z ** 2).sum(1) / (2 * width ** 2)) * (1 + tilt * pts[:, 0])
-    return GridFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +335,7 @@ def _suite_norms(cfg, report, rng):
     # embedding bound on the line
     k = WeightSpec(((1, 2.0),))
     bound = embedding_bound(k, window, 1, N, d=1)
-    x = (np.arange(N) - N // 2) * np.sqrt(2 * np.pi / N)
+    x = _axis(N)
     for i in range(20):
         width = 0.7 + 0.08 * i
         uu = np.exp(-x ** 2 / (2 * width ** 2)) * np.exp(0.3j * i * x / 10.0)

@@ -28,6 +28,56 @@ def _lattice_points(N, d):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _ord_ft(vals, axes=None):
+    """Forward DFT over the given axes (all by default) of samples held in
+    centered index order, returned in centered frequency order."""
+    axes = tuple(range(vals.ndim)) if axes is None else axes
+    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals, axes=axes),
+                                       axes=axes), axes=axes)
+
+
+def _ord_ift(vals, axes=None):
+    """Inverse of _ord_ft over the same axes."""
+    axes = tuple(range(vals.ndim)) if axes is None else axes
+    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(vals, axes=axes),
+                                        axes=axes), axes=axes)
+
+
+def _centred_diagonals(A, n, N):
+    """out[a, j] = A[a, a - j + N/2], per axis mod N, for an M x M matrix over
+    the n-dimensional centered lattice (M = N^n).
+
+    Column j of the result is the diagonal of A at the centered offset
+    j - N/2; the gather is an involution.
+    """
+    ia = np.indices((N,) * n).reshape(n, -1)
+    cols = np.ravel_multi_index(tuple((ia[:, :, None] - ia[:, None, :] + N // 2) % N),
+                                (N,) * n)
+    return np.take_along_axis(np.asarray(A), cols, axis=1)
+
+
+def _covariance_matrix(covariance, d):
+    """The d x d covariance of a symbol or window spec: identity when empty,
+    per-axis widths when of length d, else row-major; ValueError when it is
+    ill-conditioned."""
+    if len(covariance) == 0:
+        return np.eye(d)
+    cov = np.asarray(covariance, dtype=float)
+    cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
+    if np.linalg.cond(cov) > 1e8:
+        raise ValueError("ill-conditioned covariance")
+    return cov
+
+
+def _gauss_hermite(z, cov, hermite):
+    """e^{-<z, cov^{-1} z>/2} prod_a He_{k_a}(z_a) at the offsets z (P, d), with
+    Hermite indices k = hermite (empty for the plain Gaussian)."""
+    vals = np.exp(-0.5 * np.einsum("ia,ab,ib->i", z, np.linalg.inv(cov), z))
+    for ax, k in enumerate(hermite):
+        vals *= np.polynomial.hermite_e.hermeval(z[:, ax], [0] * k + [1])
+    return vals
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform self-dual grid on W = R^{2n}."""
@@ -117,19 +167,6 @@ def make_grid(n, N):
     return PhaseGrid(n=n, N=N)
 
 
-def _covariance_matrix(spec, d):
-    if len(spec.covariance) == 0:
-        return np.eye(d)
-    cov = np.asarray(spec.covariance, dtype=float)
-    if cov.size == d:
-        cov = np.diag(cov**2)
-    else:
-        cov = cov.reshape(d, d)
-    if np.linalg.cond(cov) > 1e8:
-        raise ValueError("ill-conditioned covariance")
-    return cov
-
-
 def sample_symbol(spec, grid):
     """Pointwise evaluation of a SymbolSpec on the grid."""
     d = grid.dim
@@ -142,23 +179,31 @@ def sample_symbol(spec, grid):
             raise ValueError(f"symbol file {spec.path} holds a grid with n={f.grid.n}, "
                              f"N={f.grid.N}, not n={grid.n}, N={grid.N}")
         return f
-    cov = _covariance_matrix(spec, d)
-    quad = np.einsum("ia,ab,ib->i", z, np.linalg.inv(cov), z)
-    vals = np.exp(-0.5 * quad).astype(complex)
-    if spec.kind == "gaussian":
-        pass
-    elif spec.kind == "hermite-gaussian":
-        idx = spec.hermite_index if spec.hermite_index else (1,) * d
-        for ax, k in enumerate(idx):
-            vals *= np.polynomial.hermite_e.hermeval(z[:, ax], [0] * k + [1])
-    elif spec.kind == "polynomial-times-gaussian":
+    if spec.kind not in ("gaussian", "hermite-gaussian", "polynomial-times-gaussian",
+                         "chirp-gaussian"):
+        raise ValueError(f"unknown symbol kind {spec.kind!r}")
+    hermite = (spec.hermite_index or (1,) * d) if spec.kind == "hermite-gaussian" else ()
+    cov = _covariance_matrix(spec.covariance, d)
+    vals = _gauss_hermite(z, cov, hermite).astype(complex)
+    if spec.kind == "polynomial-times-gaussian":
         coeffs = spec.poly_coeffs if spec.poly_coeffs else (0.0,)
         vals *= np.polyval(list(coeffs)[::-1], z[:, 0])
     elif spec.kind == "chirp-gaussian":
         C = np.asarray(spec.chirp, float).reshape(d, d)
         vals *= np.exp(0.5j * np.einsum("ia,ab,ib->i", z, C, z))
-    else:
-        raise ValueError(f"unknown symbol kind {spec.kind!r}")
+    return GridFunction(grid, vals)
+
+
+def _gaussian(grid, width=1.0, center=None, tilt=0.0, freq=None):
+    """The test Gaussian e^{-|xi - center|^2 / (2 width^2)} (1 + tilt xi_0),
+    modulated by e^{i <freq, xi>} when freq is given."""
+    pts = grid.points()
+    c = np.zeros(grid.dim) if center is None else np.asarray(center, float)
+    z = pts - c
+    vals = np.exp(-(z ** 2).sum(1) / (2 * width ** 2)) * (1 + tilt * pts[:, 0])
+    vals = vals.astype(complex)
+    if freq is not None:
+        vals *= np.exp(1j * (pts @ np.asarray(freq, float)))
     return GridFunction(grid, vals)
 
 
@@ -170,10 +215,7 @@ def symplectic_fourier(f):
     axis groups.
     """
     n = f.grid.n
-    g = np.fft.ifftshift(f.values)
-    g = np.fft.fftn(g, axes=tuple(range(n)))
-    g = np.fft.ifftn(g, axes=tuple(range(n, 2 * n)))
-    g = np.fft.fftshift(g)
+    g = _ord_ift(_ord_ft(f.values, tuple(range(n))), tuple(range(n, 2 * n)))
     g = np.transpose(g, axes=tuple(range(n, 2 * n)) + tuple(range(n)))
     return GridFunction(f.grid, np.ascontiguousarray(g))
 
@@ -204,12 +246,6 @@ def _lattice_matrix(A, tol=1e-9):
     return Ai.astype(int)
 
 
-def _index_mesh(grid):
-    idx = np.arange(grid.N) - grid.N // 2
-    mesh = np.meshgrid(*([idx] * grid.dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)  # (P, 2n) integer coords
-
-
 def pullback(A, f, mode="exact"):
     """Pullback A^* f = f(A .) on the grid.
 
@@ -232,7 +268,7 @@ def pullback(A, f, mode="exact"):
             if mode == "exact":
                 raise ValueError("exact pullback needs a lattice map; use mode='resampled'")
             return GridFunction(grid, _resample(f.values, A, mask_outside=True))
-        m = _index_mesh(grid)
+        m = np.indices((N,) * grid.dim).reshape(grid.dim, -1).T - N // 2  # (P, 2n)
         tgt = m @ Ai.T
         if mode == "exact":
             tgt_idx = (tgt + N // 2) % N
@@ -259,7 +295,7 @@ def _resample(vals, A, mask_outside=False):
     ax = _axis(N)
     L = N * np.sqrt(2 * np.pi / N)
     # Fourier coefficients over the centered frequency lattice (same lattice).
-    fk = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals))) / N**d
+    fk = _ord_ft(vals) / N**d
     if np.abs(A - np.diag(np.diag(A))).max() < 1e-14:
         # diagonal map: separable per-axis interpolation, O(d N^{d+1})
         out = fk
@@ -311,9 +347,8 @@ def sigma_convolve(b, c):
     """Phase-space convolution (b * c)(xi) = sum_eta b(xi-eta) c(eta) w, periodic."""
     if b.grid != c.grid:
         raise ValueError("grid mismatch")
-    conv = np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(b.values)) *
-                        np.fft.fftn(np.fft.ifftshift(c.values)))
-    return GridFunction(b.grid, np.fft.fftshift(conv) * b.grid.weight)
+    conv = _ord_ift(_ord_ft(b.values) * _ord_ft(c.values))
+    return GridFunction(b.grid, conv * b.grid.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import quantize_T
-from .grid import GridFunction, apply_multiplier, sigma_convolve, symplectic_fourier
+from .grid import (GridFunction, _gaussian, apply_multiplier, sigma_convolve,
+                   symplectic_fourier)
 from .weylrep import _per_shift, matrix_coefficient, u_conjugator
 
 
@@ -239,6 +240,15 @@ class NormReport:
         self.rows.append(NormRow(quantity, p, q, float(value), float(bound),
                                  float(ratio), bool(ratio <= 1.0)))
 
+    def frozen(self, key, ratio, calibrate):
+        """The frozen constant `key`; when it is missing and calibrate is on,
+        twice the first member's measured ratio is frozen."""
+        if key not in self.frozen_constants:
+            if not calibrate:
+                raise ValueError(f"no frozen constant for {key}")
+            self.frozen_constants[key] = 2.0 * ratio
+        return self.frozen_constants[key]
+
     def all_passed(self):
         return all(r.passed for r in self.rows)
 
@@ -256,15 +266,11 @@ class NormReport:
 
 def _gauss_family(grid, count):
     """Deterministic dilated/modulated Gaussian calibration family."""
-    pts = grid.points()
     out = []
     for i in range(count):
-        width = 1.0 + 0.06 * i
         center = 0.3 * np.array([np.cos(0.7 * i), np.sin(0.7 * i)] * grid.n)[:grid.dim]
         freq = 0.4 * np.array([np.sin(1.1 * i), np.cos(1.1 * i)] * grid.n)[:grid.dim]
-        z = pts - center
-        vals = np.exp(-(z ** 2).sum(1) / (2 * width ** 2)) * np.exp(1j * (pts @ freq))
-        out.append(GridFunction(grid, vals))
+        out.append(_gaussian(grid, 1.0 + 0.06 * i, center, freq=freq))
     return out
 
 
@@ -282,15 +288,9 @@ def modulation_schatten_rows(ctx, report, window, count=10, calibrate=True):
                          2: (float(np.sqrt((s.singular_values ** 2).sum())),
                              mn[(2, 1)])})
     for p in (1, 2):
-        key = f"thm-n7:p={p}"
-        const = report.frozen_constants.get(key)
         for m in measured:
             sn, mn = m[p]
-            if const is None:
-                if not calibrate:
-                    raise ValueError(f"no frozen constant for {key}")
-                const = 2.0 * sn / mn
-                report.frozen_constants[key] = const
+            const = report.frozen(f"thm-n7:p={p}", sn / mn, calibrate)
             report.add("thm-n7", p, 1, sn, const * mn)
     return report
 
@@ -305,14 +305,7 @@ def cordes_rows(ctx, report, t=1.5, calibrate=True):
     f1 = np.real(F1.conj().T @ ja)  # inverse transform of an even symbol
     g = GridFunction(grid, np.multiply.outer(f1, f1))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
-    key = "cor-n13"
-    const = report.frozen_constants.get(key)
-    if const is None:
-        if not calibrate:
-            raise ValueError("no frozen constant for cor-n13")
-        const = 2.0 * val
-        report.frozen_constants[key] = const
-    report.add("cor-n13", 1, 1, val, const)
+    report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val, calibrate))
     return report
 
 
@@ -320,14 +313,12 @@ def synthesis_bound_rows(ctx, report, count=20, seed=5):
     """Explicit-constant rows: ||b{G}||_p <= (det S)^{(1/2)(1-1/p)} ||b||_p ||G||_1."""
     grid = ctx.phase_grid
     rng = np.random.default_rng(seed)
-    pts = grid.points()
     M = ctx.config.M
     for _ in range(count):
         width = rng.uniform(0.8, 1.6)
         center = rng.uniform(-0.5, 0.5, grid.dim)
         amp = rng.uniform(0.5, 2.0)
-        b = GridFunction(grid, amp * np.exp(
-            -((pts - center) ** 2).sum(1) / (2 * width ** 2)))
+        b = GridFunction(grid, amp * _gaussian(grid, width, center).values)
         u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         G = np.outer(u, v.conj())
@@ -350,20 +341,13 @@ def interpolation_rows(ctx, report, mu=1.25, count=5, calibrate=True):
     for p in (1, 2):
         s = 2 * mu * n * abs(1 - 2.0 / p)
         k = WeightSpec(((ctx.phase_grid.dim, s),)) if s > 0 else None
-        key = f"interp-mu:p={p}"
-        const = report.frozen_constants.get(key)
         for a in fam:
             sn = schatten_norm(quantize_T(ctx, a), p).norm
             if k is None:
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2
             else:
                 hn = sobolev_k_norm(a, k, p)
-            ratio = sn / hn
-            if const is None:
-                if not calibrate:
-                    raise ValueError(f"no frozen constant for {key}")
-                const = 2.0 * ratio
-                report.frozen_constants[key] = const
+            const = report.frozen(f"interp-mu:p={p}", sn / hn, calibrate)
             report.add("interp-mu", p, p, sn, const * hn)
     return report
 

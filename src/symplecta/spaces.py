@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _axis, _lattice_points, _resample
+from .grid import (GridFunction, _axis, _covariance_matrix, _gauss_hermite,
+                   _lattice_points, _ord_ft, _ord_ift, _resample)
 
 
 def _values(u):
@@ -28,18 +29,6 @@ def _spacing(vals):
     if any(s != N for s in vals.shape):
         raise ValueError("expected a cubical lattice")
     return np.sqrt(2 * np.pi / N)
-
-
-def _ord_ft(vals, axes=None):
-    axes = tuple(range(vals.ndim)) if axes is None else axes
-    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals, axes=axes),
-                                       axes=axes), axes=axes)
-
-
-def _ord_ift(vals, axes=None):
-    axes = tuple(range(vals.ndim)) if axes is None else axes
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(vals, axes=axes),
-                                        axes=axes), axes=axes)
 
 
 def _lp_rows(vals, p, weight):
@@ -80,30 +69,15 @@ class WindowSpec:
 
 def _window_params(window, d):
     center = np.zeros(d) if len(window.center) == 0 else np.asarray(window.center, float)
-    if len(window.covariance) == 0:
-        cov = np.eye(d)
-    else:
-        cov = np.asarray(window.covariance, float)
-        cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
     hermite = ((window.hermite_index or (1,) * d) if window.kind == "hermite-gaussian"
                else ())
-    return center, cov, hermite
-
-
-def _hermite(z, k):
-    return np.polynomial.hermite_e.hermeval(z, [0] * k + [1])
+    return center, _covariance_matrix(window.covariance, d), hermite
 
 
 def window_values(window, d, N):
     """Evaluate a WindowSpec on the centered d-dimensional lattice."""
-    pts = _lattice_points(N, d)
     center, cov, hermite = _window_params(window, d)
-    z = pts - center
-    quad = np.einsum("ia,ab,ib->i", z, np.linalg.inv(cov), z)
-    vals = np.exp(-0.5 * quad).astype(complex)
-    for ax, k in enumerate(hermite):
-        vals *= _hermite(z[:, ax], k)
-    out = vals.reshape((N,) * d)
+    out = _gauss_hermite(_lattice_points(N, d) - center, cov, hermite).reshape((N,) * d)
     if np.abs(out).max() == 0.0:
         raise ValueError("window vanishes identically on the lattice")
     return out
@@ -115,10 +89,9 @@ def _window_factors(window, d, N):
     center, cov, hermite = _window_params(window, d)
     if np.count_nonzero(cov - np.diag(np.diag(cov))):
         return None
-    z = _axis(N)[None, :] - center[:, None]
-    factors = np.exp(-0.5 * z ** 2 * np.diag(np.linalg.inv(cov))[:, None])
-    for ax, k in enumerate(hermite):
-        factors[ax] *= _hermite(z[ax], k)
+    factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],
+                                       cov[ax:ax + 1, ax:ax + 1], hermite[ax:ax + 1])
+                        for ax in range(d)])
     if np.prod(np.abs(factors).max(axis=1)) == 0.0:
         raise ValueError("window vanishes identically on the lattice")
     return factors

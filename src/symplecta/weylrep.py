@@ -138,16 +138,7 @@ def u_conjugator_batch(ctx, pts):
     The averaging sums use the shift-grouped kernel instead and are tested
     against this stack.
     """
-    pts = np.asarray(pts, dtype=float)
-    n = ctx.space.n
-    eta = pts @ (ctx.phi @ ctx.Sinv).T  # arguments of W_std
-    y, p = eta[:, :n], eta[:, n:]
-    x = ctx.config.coords()
-    F = ctx.config.dft()
-    ramps = np.exp(-1j * (y @ x.T))  # (P, M) frequency ramps
-    shifts = np.einsum("ak,ik,kb->iab", F.conj().T, ramps, F, optimize=True)
-    mods = np.exp(1j * ((x[None, :, :] - y[:, None, :] / 2) * p[:, None, :]).sum(-1))
-    return mods[:, :, None] * shifts
+    return np.stack([u_conjugator(ctx, xi) for xi in np.asarray(pts, dtype=float)])
 
 
 def _distinct_rows(a):

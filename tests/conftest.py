@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symplecta.grid import GridFunction, make_grid
+from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
 from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
 from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
@@ -27,17 +27,6 @@ DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUI
 def make_ctx(T, N=32, n=1):
     return build_rep_context(SymplecticSpace(n), np.asarray(T, dtype=float),
                              ConfigGrid(n, N))
-
-
-def gaussian(grid, width=1.0, center=None, tilt=0.0, freq=None):
-    pts = grid.points()
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, float)
-    z = pts - c
-    vals = np.exp(-(z ** 2).sum(1) / (2 * width ** 2)) * (1 + tilt * pts[:, 0])
-    vals = vals.astype(complex)
-    if freq is not None:
-        vals *= np.exp(1j * (pts @ np.asarray(freq, float)))
-    return GridFunction(grid, vals)
 
 
 def unit_gaussians_1d(N):
@@ -121,3 +110,19 @@ def synth_generic(ctx, g_flat):
             continue
         out += gi * weyl_standard(ctx.config, ctx.phi @ xi)
     return out
+
+
+def kernel_route_loop(grid, tau, a):
+    """Reference integral-kernel route for T = diag(tau, 1 - tau), n = 1: one
+    pass per frequency over the centered difference of every matrix entry."""
+    N, h, x = grid.N, grid.h, np.asarray(grid.axis)
+    ph = np.exp(1j * np.outer(x, x))
+    B1 = (a.values @ ph.T) * (h / (2 * np.pi))
+    B1k = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(B1, axes=0), axis=0), axes=0) / N
+    ii = np.arange(N)
+    DI = ((ii[:, None] - ii[None, :] + N // 2) % N) - N // 2
+    tgt = x[:, None] - tau * (DI * h)
+    K = np.zeros((N, N), complex)
+    for ki, kv in enumerate(x):
+        K += B1k[ki, DI + N // 2] * np.exp(1j * kv * tgt)
+    return K * h

@@ -14,7 +14,7 @@ from symplecta.calculus import (lambda_transform, quantize_T,
 from symplecta.cli import main
 from symplecta.cocycle import (MultiplierContext, coboundary_residual,
                                cocycle_residual, omega, omega_tilde)
-from symplecta.grid import GridFunction, make_grid, symplectic_fourier
+from symplecta.grid import GridFunction, _ord_ft, make_grid, symplectic_fourier
 from symplecta.katoschatten import (NormReport, cordes_rows,
                                     kato_identity_residual, kato_synthesis,
                                     modulation_schatten_rows,
@@ -22,8 +22,7 @@ from symplecta.katoschatten import (NormReport, cordes_rows,
                                     synthesis_bound_rows)
 from symplecta.spaces import (WeightSpec, WindowSpec, chirp_TA, dilation_ratio,
                               embedding_bound, modulation_norm,
-                              modulation_norms, sobolev_k_norm, trig_resample,
-                              _ord_ft)
+                              modulation_norms, sobolev_k_norm, trig_resample)
 from symplecta.symplin import SymplecticSpace, nondegeneracy_gate
 from symplecta.weylrep import orthogonality_integral
 

@@ -1,0 +1,89 @@
+"""Property tests of the centred-lattice helpers, the quantization routes and
+the multiplier identities.
+
+Symbols and matrices are drawn from a seeded generator, so every example is a
+rough (unresolved) input: the identities below are exact on the grid, not
+approximations that need a smooth symbol.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import kernel_route_loop, make_ctx
+from symplecta.calculus import quantize_T, quantize_theta_tau_kernel, recover_symbol
+from symplecta.cocycle import MultiplierContext, coboundary_residual, cocycle_residual
+from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
+from symplecta.symplin import SymplecticSpace
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+even_N = st.integers(4, 16).map(lambda k: 2 * k)  # even N in 8..32
+taus = st.floats(0.0, 1.0)
+
+
+def random_complex(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), half=st.integers(2, 8), seed=seeds)
+def test_centred_diagonals_is_an_involution(n, half, seed):
+    N = 2 * half
+    A = random_complex(seed, (N ** n, N ** n))
+    D = _centred_diagonals(A, n, N)
+    # column N/2 (per axis) is the main diagonal
+    assert np.array_equal(D[:, np.ravel_multi_index((half,) * n, (N,) * n)], np.diag(A))
+    assert np.array_equal(_centred_diagonals(D, n, N), A)
+
+
+@PROPERTY
+@given(tau=taus, N=even_N, seed=seeds)
+def test_kernel_route_equals_synthesis(tau, N, seed):
+    ctx = make_ctx(np.diag([tau, 1.0 - tau]), N=N)
+    a = GridFunction(ctx.phase_grid, random_complex(seed, (N, N)))
+    A1 = quantize_T(ctx, a)
+    A2 = quantize_theta_tau_kernel(ctx.phase_grid, 1.0 - tau, tau, a)
+    assert np.abs(A1 - A2).max() / np.abs(A1).max() < 1e-7
+    # the same sums as the per-frequency loop, in another order
+    K = kernel_route_loop(ctx.phase_grid, tau, a)
+    assert np.linalg.norm(A2 - K) / np.linalg.norm(K) < 1e-13
+
+
+@PROPERTY
+@given(tau=taus, N=even_N, seed=seeds)
+def test_recover_symbol_inverts_quantize_T(tau, N, seed):
+    ctx = make_ctx(np.diag([tau, 1.0 - tau]), N=N)
+    a = GridFunction(ctx.phase_grid, random_complex(seed, (N, N)))
+    back = recover_symbol(ctx, quantize_T(ctx, a))
+    assert np.abs(back.values - a.values).max() < 1e-8
+
+
+@PROPERTY
+@given(T=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), N=even_N)
+def test_unit_symbol_quantizes_to_identity(T, N):
+    T = np.reshape(T, (2, 2))
+    assume(abs(np.trace(T)) > 0.1)  # n = 1: S = T + T^sigma = tr(T) I
+    ctx = make_ctx(T, N=N)
+    ones = GridFunction(ctx.phase_grid, np.ones((N, N)))
+    assert np.abs(quantize_T(ctx, ones) - np.eye(N)).max() < 1e-9
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), half=st.integers(2, 8), seed=seeds)
+def test_symplectic_fourier_is_an_involution(n, half, seed):
+    g = make_grid(n, 2 * half)
+    f = GridFunction(g, random_complex(seed, (2 * half,) * g.dim))
+    ff = symplectic_fourier(symplectic_fourier(f))
+    assert np.linalg.norm(ff.values - f.values) / np.linalg.norm(f.values) < 1e-10
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), seed=seeds)
+def test_cocycle_and_coboundary_identities(n, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * n
+    ctx = MultiplierContext(SymplecticSpace(n), rng.standard_normal((d, d)))
+    assert cocycle_residual(ctx, list(rng.standard_normal((20, 3, d)))) < 1e-12
+    assert coboundary_residual(ctx, list(rng.standard_normal((20, 2, d)))) < 1e-12
