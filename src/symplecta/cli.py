@@ -252,6 +252,12 @@ def _suite_verify_core(cfg, report, rng):
 
 
 def _suite_verify_kato(cfg, report, rng):
+    if cfg.n != 1:
+        raise ConfigError(f"n must be 1 for verify-kato, whose suite maps are "
+                          f"2 x 2, got n={cfg.n}")
+    if cfg.N < 32:
+        raise ConfigError(f"N must be at least 32 for verify-kato, whose T=I rows "
+                          f"alias on coarser grids, got N={cfg.N}")
     grid = make_grid(cfg.n, cfg.N)
     b = _gaussian(grid, 1.0, center=[0.5] + [0.0] * (grid.dim - 1))
     c = _gaussian(grid, 1.0, center=[0.0, 0.3] + [0.0] * (grid.dim - 2))
@@ -283,8 +289,6 @@ def _suite_verify_kato(cfg, report, rng):
     # orthogonality relation at the configured N
     for label, T in (("T=I/2", np.diag([0.5, 0.5])), ("T=I", np.eye(2)),
                      ("T=diag(.3,.7)", np.diag([0.3, 0.7]))):
-        if cfg.n != 1:
-            break
         ctx = _context(cfg, T=T)
         x = np.asarray(ctx.config.axis)
         phi_v = np.exp(-x ** 2 / 2) * (1 + 0.1 * x)

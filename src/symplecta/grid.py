@@ -22,10 +22,15 @@ def _axis(N):
     return (np.arange(N) - N // 2) * np.sqrt(2 * np.pi / N)
 
 
+def _product_points(axes):
+    """All points of the product of the coordinate axes, lexicographic."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _lattice_points(N, d):
     """All N^d points of the d-dimensional centered lattice, lexicographic."""
-    mesh = np.meshgrid(*([_axis(N)] * d), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _product_points([_axis(N)] * d)
 
 
 def _ord_ft(vals, axes=None):
@@ -43,6 +48,13 @@ def _ord_ift(vals, axes=None):
                                         axes=axes), axes=axes)
 
 
+def _centred_roll(i, s, N):
+    """(i - s + N/2) mod N, broadcast: the index that entry i of a centered
+    lattice axis takes after a cyclic shift by s.  Entry i of a window slid to
+    offset s is chi[_centred_roll(i, s, N)]."""
+    return (i - s + N // 2) % N
+
+
 def _centred_diagonals(A, n, N):
     """out[a, j] = A[a, a - j + N/2], per axis mod N, for an M x M matrix over
     the n-dimensional centered lattice (M = N^n).
@@ -51,7 +63,7 @@ def _centred_diagonals(A, n, N):
     j - N/2; the gather is an involution.
     """
     ia = np.indices((N,) * n).reshape(n, -1)
-    cols = np.ravel_multi_index(tuple((ia[:, :, None] - ia[:, None, :] + N // 2) % N),
+    cols = np.ravel_multi_index(tuple(_centred_roll(ia[:, :, None], ia[:, None, :], N)),
                                 (N,) * n)
     return np.take_along_axis(np.asarray(A), cols, axis=1)
 

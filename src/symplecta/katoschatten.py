@@ -9,29 +9,43 @@ The synthesis of a phase-space density b against an operator G is
 with U the translation-covariance conjugators of the representation context.
 Sampled densities are summed over the fundamental box (zero extension);
 analytic densities are summed over the full periodicity cell of xi -> U(xi),
-which is generally a union of several boxes.
+which is a product of per-axis stacks of boxes.  With (y, p) = A xi,
+A = phi S^{-1}, the conjugator is U(xi) = e^{-i<y,p>/2} Mod(p) Shift(y) and
+the phase cancels in U G U^*.
 
-The sum is evaluated by shift groups.  With (y, p) = phi S^{-1} xi the
-conjugator splits as U(xi) = e^{-i<y,p>/2} Mod(p) Shift(y), and
-Mod(p) X Mod(p)^* = X o [e^{i<x_a - x_c, p>}], so the phase cancels and
+Ambiguity domain (A diagonal, every n = 1 map).  Werner's rule -- the Fourier
+transform of an operator convolution is the product of the two transforms --
+turns the sum into a product over index differences.  Per axis, with
+A = diag(alpha, beta), Ghat = F G F^* and m, d running over the unwrapped
+differences -(N-1) .. N-1,
+
+    K[m, d] = sum_{i,j} b[i, j] e^{-i m h alpha xi_i} e^{i d h beta xi_j},
+    H[m, d] = sum_l Ghat[l + m, l] e^{i x_l d h},
+    b{G}[a, a - d] = (w / N) sum_m e^{i x_a m h} K[m, d] H[m, d].
+
+K depends on b only, H on G only; both and the sum over m are per-axis
+products, O(N^3) at n = 1 and O(N^5) at n = 2, for fractional shifts too.
+The exponentials act one axis at a time on the multi-indices m, d.
+
+Shift groups (A coupled, such as an n = 2 phi with an x-p block).  The sum
+is taken over the distinct shifts y,
 
     b{G} = w sum_y (Shift(y) G Shift(y)^*) o B_y,
-    B_y[a, c] = sum_{xi in y} b(xi) e^{i<x_a - x_c, p(xi)>}.
+    B_y[a, c] = sum_{xi in y} b(xi) e^{i<x_a - x_c, p(xi)>},
 
-Each distinct shift costs two M x M products and one M x M x P_y product; for
-n = 1, where phi S^{-1} is diagonal, there are N shifts of N points each and
-the whole sum costs O(N^4) instead of O(N^5) for one explicit unitary per point.
+at two M x M products and one M x M x P_y product per shift.
 """
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calculus import quantize_T
-from .grid import (GridFunction, _gaussian, apply_multiplier, sigma_convolve,
-                   symplectic_fourier)
+from .grid import (GridFunction, _gaussian, _product_points, apply_multiplier,
+                   sigma_convolve, symplectic_fourier)
 from .weylrep import _per_shift, matrix_coefficient, u_conjugator
 
 
@@ -82,7 +96,8 @@ def _cell_reps(ctx):
 
 
 def _accumulate(ctx, pts, bv, G):
-    """sum_xi b(xi) U(xi) G U(xi)^* over the points with nonzero density."""
+    """sum_xi b(xi) U(xi) G U(xi)^* over the points with nonzero density, by
+    shift groups; the kernel for a coupled phi S^{-1}."""
     live = bv != 0.0
     pts, bv = pts[live], bv[live]
     F = ctx.config.dft()
@@ -95,12 +110,63 @@ def _accumulate(ctx, pts, bv, G):
     return acc
 
 
+def _contract(arr, mats, axes):
+    """Contract each listed axis of arr with the rows of its matrix, in turn."""
+    for ax, mat in zip(axes, mats):
+        arr = np.moveaxis(np.tensordot(arr, mat, axes=(ax, 0)), -1, ax)
+    return arr
+
+
+# Elements per chunk of the leading m axis, bounding the working arrays.
+_CHUNK_ELEMS = 1 << 20
+
+
+def _ambiguity_average(config, a, axes, bv, G):
+    """sum_xi b(xi) U(xi) G U(xi)^* for U(xi) = W_std(diag(a) xi), with the
+    density bv sampled on the product of the 2n coordinate axes.
+
+    Arrays over (m, d) hold the n axes of m, then the n axes of d.  The sum
+    over the leading m axis runs in chunks that bound them.
+    """
+    n, N, h = config.n, config.N, config.h
+    L = 2 * N - 1
+    m = np.arange(1 - N, N)
+    F = config.dft()
+    Ghat = (F @ G @ F.conj().T).reshape((N,) * 2 * n)
+    k = m[:, None] + np.arange(N)  # row l + m of diagonal m at column l
+    cols = [np.arange(N).reshape([N if s == n + t else 1 for s in range(2 * n)])
+            for t in range(n)]
+    Ex = np.exp(1j * np.outer(config.axis, m * h))  # e^{i x_l d h}, also e^{i x_a m h}
+    Ey = [np.exp(-1j * np.outer(a[t] * axes[t], m * h)) for t in range(n)]
+    Ep = [np.exp(1j * np.outer(a[n + t] * axes[n + t], m * h)) for t in range(n)]
+    chunk = max(1, _CHUNK_ELEMS // L ** (2 * n - 1))
+    out = np.zeros((N,) * n + (L,) * n, complex)
+    for m0 in range(0, L, chunk):
+        sl = slice(m0, m0 + chunk)
+        # D[m, l] = Ghat[l + m, l] per axis, zero where l + m leaves the lattice
+        rows, inside = [], True
+        for t, kt in enumerate([k[sl]] + [k] * (n - 1)):
+            shape = [1] * 2 * n
+            shape[t], shape[n + t] = kt.shape
+            rows.append(np.clip(kt, 0, N - 1).reshape(shape))
+            inside = inside & ((kt >= 0) & (kt < N)).reshape(shape)
+        D = np.where(inside, Ghat[tuple(rows + cols)], 0.0)
+        H = _contract(D, [Ex] * n, range(n, 2 * n))
+        K = _contract(bv, [Ey[0][:, sl]] + Ey[1:] + Ep, range(2 * n))
+        out += _contract(K * H, [Ex.T] * (n - 1) + [Ex[:, sl].T], range(n - 1, -1, -1))
+    ia = np.indices((N,) * n).reshape(n, -1)
+    idx = np.ravel_multi_index(tuple(ia[:, :, None] - ia[:, None, :] + N - 1), (L,) * n)
+    return np.take_along_axis(out.reshape(N ** n, L ** n), idx, axis=1) / N ** n
+
+
 def kato_synthesis(spec_or_ctx, b=None, G=None):
     """Average U(xi) G U(xi)^* against the density b over phase space.
 
     Accepts either a SynthesisSpec or (ctx, b, G).  GridFunction densities are
     summed over the fundamental box; callables over the full U-periodicity cell
-    (so that b == 1 reproduces the scalar identity exactly).
+    (so that b == 1 reproduces the scalar identity exactly).  A diagonal
+    phi S^{-1} takes the ambiguity-domain kernel, a coupled one the shift
+    groups.
     """
     if isinstance(spec_or_ctx, SynthesisSpec):
         ctx, b, G = spec_or_ctx.ctx, spec_or_ctx.b, spec_or_ctx.G
@@ -108,19 +174,22 @@ def kato_synthesis(spec_or_ctx, b=None, G=None):
         ctx = spec_or_ctx
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
-    pts = grid.points()
-    w = grid.weight
     if isinstance(b, GridFunction):
         if b.grid != grid:
             raise ValueError("density grid does not match the context grid")
-        return _accumulate(ctx, pts, b.values.ravel(), G) * w
-    if not callable(b):
+        axes, bv = [grid.axis] * grid.dim, b.values
+    elif callable(b):
+        L = grid.box_length
+        axes = [np.concatenate([grid.axis + (r - k // 2) * L for r in range(k)])
+                for k in _cell_reps(ctx)]
+        bv = np.asarray(b(_product_points(axes)), dtype=complex)
+        bv = bv.reshape([len(ax) for ax in axes])
+    else:
         raise TypeError("b must be a GridFunction or a callable on phase points")
-    reps = _cell_reps(ctx)
-    L = grid.box_length
-    cell = np.concatenate([pts + (np.asarray(box) - reps // 2) * L
-                           for box in np.ndindex(*reps)])
-    return _accumulate(ctx, cell, np.asarray(b(cell), dtype=complex).ravel(), G) * w
+    A = ctx.phi @ ctx.Sinv
+    if np.count_nonzero(A - np.diag(np.diag(A))):
+        return _accumulate(ctx, _product_points(axes), bv.ravel(), G) * grid.weight
+    return _ambiguity_average(ctx.config, np.diag(A), axes, bv, G) * grid.weight
 
 
 def kato_identity_residual(ctx, b, c):
@@ -303,7 +372,7 @@ def cordes_rows(ctx, report, t=1.5, calibrate=True):
     ja = (1 + ax ** 2) ** (-t / 2)
     F1 = np.exp(-1j * np.outer(ax, ax)) / np.sqrt(N)
     f1 = np.real(F1.conj().T @ ja)  # inverse transform of an even symbol
-    g = GridFunction(grid, np.multiply.outer(f1, f1))
+    g = GridFunction(grid, functools.reduce(np.multiply.outer, [f1] * grid.dim))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
     report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val, calibrate))
     return report

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, _axis, _covariance_matrix, _gauss_hermite,
-                   _lattice_points, _ord_ft, _ord_ift, _resample)
+from .grid import (GridFunction, _axis, _centred_roll, _covariance_matrix,
+                   _gauss_hermite, _lattice_points, _ord_ft, _ord_ift, _resample)
 
 
 def _values(u):
@@ -177,8 +177,7 @@ def _stft_lp(uvals, factors, ps):
     uhat = _ord_ft(uvals)
     rows = P // N
     idx = np.arange(N)
-    roll = (idx[None, :] - idx[:, None] + N // 2) % N
-    rolled = [f[roll] for f in factors]
+    rolled = [f[_centred_roll(idx[None, :], idx[:, None], N)] for f in factors]
     out = {}
     if 2 in ps:  # sum_x |v_s(x)|^2 = N^-d sum_i |W_s(i) uhat(i)|^2
         power = np.abs(uhat) ** 2 / P
@@ -215,7 +214,7 @@ def _stft_lp_dense(uvals, chivals, ps):
     uhat = _ord_ft(uvals)
     slid = np.lib.stride_tricks.sliding_window_view(np.tile(chivals, (2,) * d),
                                                     (N,) * d)
-    offsets = (N // 2 - np.indices((N,) * d).reshape(d, -1)) % N
+    offsets = _centred_roll(0, np.indices((N,) * d).reshape(d, -1), N)
     axes = tuple(range(1, d + 1))
     out = {p: np.empty(P) for p in ps}
     chunk = max(1, _CHUNK_ELEMS // P)

@@ -170,7 +170,10 @@ def _shift_groups(config, pts, A):
 
 def _per_shift(config, pts, A):
     """For each distinct shift y of _shift_groups: the indices of its points,
-    the ramp r (M,) and the modulation columns E = e^{i x p^T} (M, P_y)."""
+    the ramp r (M,) and the modulation columns E = e^{i x p^T} (M, P_y).
+
+    Only the coupled maps, whose shift y depends on the modulation coordinates
+    of xi, are summed this way."""
     ys, iy, ps, ip = _shift_groups(config, pts, A)
     x = config.coords()
     groups = np.split(np.argsort(iy, kind="stable"), np.cumsum(np.bincount(iy))[:-1])
@@ -181,13 +184,23 @@ def _per_shift(config, pts, A):
 def _mod_shift_coefficients(ctx, phi_v, psi_v, A):
     """<phi_v, Mod(p) Shift(y) psi_v> at every phase grid point, (y, p) = A xi.
 
-    Each distinct shift costs one inverse transform of psi_v and one dense
-    product against the modulations of its points.
+    When A has no x-p block, y depends on the position coordinates of xi only
+    and p on the momentum ones, and the grid of coefficients is one product
+    (S o conj(phi_v))^T E with S = F^* (R o psi_hat), R = e^{-i x (A_xx xi)^T}
+    and E = e^{i x (A_pp xi)^T}.  A coupled A takes one inverse transform of
+    psi_v per distinct shift and one product against its modulations.
     """
-    pts = ctx.phase_grid.points()
+    n = ctx.config.n
     F = ctx.config.dft()
     phi_c = np.conj(np.asarray(phi_v, complex).ravel())
     psi_hat = F @ np.asarray(psi_v, complex).ravel()
+    if not (np.count_nonzero(A[:n, n:]) or np.count_nonzero(A[n:, :n])):
+        x = ctx.config.coords()
+        xi = x.T  # the position (and the momentum) lattice of the phase grid
+        S = F.conj().T @ (np.exp(-1j * (x @ A[:n, :n] @ xi)) * psi_hat[:, None])
+        E = np.exp(1j * (x @ A[n:, n:] @ xi))
+        return ((S * phi_c[:, None]).T @ E).ravel()
+    pts = ctx.phase_grid.points()
     vals = np.empty(pts.shape[0], complex)
     for idx, r, E in _per_shift(ctx.config, pts, A):
         vals[idx] = E.T @ (phi_c * (F.conj().T @ (r * psi_hat)))

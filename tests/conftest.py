@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symplecta.grid import _centred_roll
 from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
 from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
@@ -21,7 +22,8 @@ MIXED_T2 = 0.5 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 
 # (T, n, N) inputs small enough to check a grouped sum against the dense
 # stack of explicit unitaries
 DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
-                      + [pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
+                      + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
+                         pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
 
 
 def make_ctx(T, N=32, n=1):
@@ -55,7 +57,7 @@ def dense_stft_lp(uvals, chivals, ps, shifts=None):
     chunk = max(1, (1 << 20) // P)
     for i0 in range(0, len(shifts), chunk):
         sh = grids[:, shifts[i0:i0 + chunk]]
-        src = (grids[:, None, :] - sh[:, :, None] + N // 2) % N
+        src = _centred_roll(grids[:, None, :], sh[:, :, None], N)
         flat = np.ravel_multi_index(tuple(src), (N,) * d)
         V = (chif[flat] * uhat[None, :]).reshape((-1,) + (N,) * d)
         v = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(V, axes=axes), axes=axes),

@@ -197,3 +197,29 @@ def test_symbol_file_on_another_grid_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: symbol.path" in err and "N=16" in err
     assert not (tmp_path / "op-synthesis.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "report"])
+def test_bounds_and_report_run_at_n2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, n=2, N=8, T=(0.5 * np.eye(4)).tolist())
+    argv = (["verify", "--suite", "bounds"] if command == "bounds" else ["report"])
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_kato_at_n2_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=2, N=32, T=(0.5 * np.eye(4)).tolist())
+    assert main(["verify", "--suite", "verify-kato", "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: n must be 1 for verify-kato" in err and "n=2" in err
+    assert not (tmp_path / "report-verify-kato.csv").exists()
+
+
+def test_verify_kato_below_n32_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, N=16)
+    assert main(["verify", "--suite", "verify-kato", "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: N must be at least 32 for verify-kato" in err and "N=16" in err
+    assert not (tmp_path / "report-verify-kato.csv").exists()

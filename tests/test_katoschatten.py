@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
+from symplecta import katoschatten
 from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
 from symplecta.katoschatten import (NormReport, SynthesisSpec, _cell_reps, bound_suite,
                                     conjugation_coefficient_residual,
@@ -114,6 +115,36 @@ def test_synthesis_matches_dense_conjugator_sum(T, n, N):
         want = dense(cell, f(cell))
         got = kato_synthesis(ctx, f, G)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 4)])
+def test_callable_density_on_the_two_box_cell_of_t_identity(n, N):
+    # T = I gives S = 2I: the U-periodicity cell is two boxes along each
+    # position axis, summed as extended axes by the ambiguity-domain kernel
+    ctx = make_ctx(np.eye(2 * n), N=N, n=n)
+    g = ctx.phase_grid
+    M = ctx.config.M
+    reps = _cell_reps(ctx)
+    assert list(reps) == [2] * n + [1] * n
+    cell = np.concatenate([g.points() + (np.asarray(box) - reps // 2) * g.box_length
+                           for box in np.ndindex(*reps)])
+    f = lambda pts: np.exp(-(pts ** 2).sum(1) / 4) * (1 + 0.2j * pts[:, -1])
+    G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    U = u_conjugator_batch(ctx, cell)
+    want = np.einsum("i,iab,bc,idc->ad", f(cell), U, G, U.conj()) * g.weight
+    got = kato_synthesis(ctx, f, G)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_ambiguity_sum_in_chunks_of_m(monkeypatch):
+    ctx = make_ctx(0.5 * np.eye(4), N=4, n=2)
+    G = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    b = gaussian(ctx.phase_grid, 1.0, center=(0.3, -0.2, 0.1, 0.0))
+    whole = kato_synthesis(ctx, b, G)
+    # 2N - 1 = 7 values per m axis: chunks of 2, 2, 2 and 1 leading m values
+    monkeypatch.setattr(katoschatten, "_CHUNK_ELEMS", 2 * 7 ** 3)
+    chunked = kato_synthesis(ctx, b, G)
+    assert np.abs(chunked - whole).max() < 1e-13 * np.abs(whole).max()
 
 
 def test_synthesis_preserves_positivity():

@@ -1,5 +1,5 @@
-"""Property tests of the centred-lattice helpers, the quantization routes and
-the multiplier identities.
+"""Property tests of the centred-lattice helpers, the quantization routes, the
+operator-averaging kernels and the multiplier identities.
 
 Symbols and matrices are drawn from a seeded generator, so every example is a
 rough (unresolved) input: the identities below are exact on the grid, not
@@ -13,6 +13,7 @@ from conftest import kernel_route_loop, make_ctx
 from symplecta.calculus import quantize_T, quantize_theta_tau_kernel, recover_symbol
 from symplecta.cocycle import MultiplierContext, coboundary_residual, cocycle_residual
 from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
+from symplecta.katoschatten import _accumulate, _ambiguity_average
 from symplecta.symplin import SymplecticSpace
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -58,6 +59,22 @@ def test_recover_symbol_inverts_quantize_T(tau, N, seed):
     a = GridFunction(ctx.phase_grid, random_complex(seed, (N, N)))
     back = recover_symbol(ctx, quantize_T(ctx, a))
     assert np.abs(back.values - a.values).max() < 1e-8
+
+
+@PROPERTY
+@given(t=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       half=st.integers(4, 24), seed=seeds)
+def test_ambiguity_kernel_equals_shift_groups(t, half, seed):
+    assume(abs(t[0] + t[1]) > 0.25)  # S = (t0 + t1) I, nondegenerate
+    N = 2 * half  # even N in 8..48
+    ctx = make_ctx(np.diag(t), N=N)
+    A = ctx.phi @ ctx.Sinv
+    assert np.count_nonzero(A - np.diag(np.diag(A))) == 0
+    b = random_complex(seed, (N, N))
+    G = random_complex(seed + 1, (N, N))
+    want = _accumulate(ctx, ctx.phase_grid.points(), b.ravel(), G)
+    got = _ambiguity_average(ctx.config, np.diag(A), [ctx.config.axis] * 2, b, G)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
 
 @PROPERTY
