@@ -73,7 +73,6 @@ from .spaces import (
 )
 from .katoschatten import (
     SchattenReport,
-    SynthesisSpec,
     NormReport,
     schatten_norm,
     kato_synthesis,

@@ -11,60 +11,16 @@ the two are intertwined by the symbol transform
     (Lam a)(xi) = (F_sigma^{-1} [ lam . F_sigma a ])(S xi),
 
 so that Op_T(a) = Op_tilde(Lam a).  For diagonal T = diag(tau, theta) on n=1
-there is also the classical integral-kernel route, and the quantization is
-inverted exactly by per-diagonal coefficient extraction.
+there is also the classical integral-kernel route.  The synthesis and its
+adjoint, the analysis tr(W^* A), live in weylrep; at n = 1 the analysis
+inverts the quantization exactly.
 """
 
 import numpy as np
 
-from .grid import (GridFunction, _centred_diagonals, _ord_ft, _ord_ift, _read_rows,
-                   _write_rows, apply_multiplier, pullback, symplectic_fourier)
-from .weylrep import _shift_groups
-
-_CHUNK_ELEMS = 1 << 22  # element budget of one chunk of shifts in _synthesize
-
-
-def _synthesize(ctx, g_flat):
-    """sum_xi g(xi) W_std(phi xi) over the phase grid, for any n and phi.
-
-    With (y, p) = phi xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
-    the self-dual grid Shift(y) = F^* diag(e^{-i<k, y>}) F is circulant for
-    every real y: Shift(y)[a, b] = c_y[a - b], the difference taken mod N per
-    axis.  Hence Op[a, b] = G[a, a - b + N/2] (the centred diagonals of G) with
-    G = E (Gm C): E = e^{i x p^T} over the distinct p, C[y, :] = c_y in centred
-    order over the distinct y (a centred inverse FFT of the ramp) and
-    Gm[p, y] = g(xi) e^{-i<y, p>/2}.  Where the points are the
-    product of their distinct y and p (every n = 1 map, block-diagonal phi at
-    n = 2) this costs O(M^3).  Chunks of whole shift groups, each with only
-    the p its points use, keep every intermediate within max(_CHUNK_ELEMS, M^2)
-    elements for every phi.
-    """
-    config = ctx.config
-    n, N, M = config.n, config.N, config.M
-    x = config.coords()
-    ys, iy, ps, ip = _shift_groups(config, ctx.phase_grid.points(), ctx.phi)
-    gt = g_flat * np.exp(-0.5j * (ys[iy] * ps[ip]).sum(1))
-    order = np.argsort(iy, kind="stable")
-    starts = np.searchsorted(iy[order], np.arange(len(ys) + 1))
-    # a chunk holds at most M shifts, and at most _CHUNK_ELEMS / M points
-    # unless all the distinct p fit that budget together
-    max_y = max(1, min(M, _CHUNK_ELEMS // M))
-    max_pts = len(iy) if len(ps) * M <= _CHUNK_ELEMS else _CHUNK_ELEMS // M
-    axes = tuple(range(1, n + 1))
-    G = np.zeros((M, M), complex)
-    y0 = 0
-    while y0 < len(ys):
-        y1 = max(y0 + 1, min(y0 + max_y, np.searchsorted(
-            starts, starts[y0] + max_pts, "right") - 1))
-        sel = order[starts[y0]:starts[y1]]
-        pu, ipl = np.unique(ip[sel], return_inverse=True)
-        Gm = np.zeros((len(pu), y1 - y0), complex)
-        Gm[ipl, iy[sel] - y0] = gt[sel]
-        ramps = np.exp(-1j * (ys[y0:y1] @ x.T)).reshape((-1,) + (N,) * n)
-        C = _ord_ift(ramps, axes).reshape(-1, M)
-        G += np.exp(1j * (x @ ps[pu].T)) @ (Gm @ C)
-        y0 = y1
-    return _centred_diagonals(G, n, N)
+from .grid import (GridFunction, _centred_diagonals, _ord_ft, _read_rows, _write_rows,
+                   apply_multiplier, pullback, symplectic_fourier)
+from .weylrep import _analyze, _synthesize
 
 
 def quantize_T(ctx, a):
@@ -141,15 +97,13 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
 def recover_symbol(ctx, A):
     """Invert quantize_T: recover the symbol of a dense operator matrix.
 
-    The centred diagonal at offset d, v_d[a] = A[a, a - d/h], collects the
-    synthesis coefficients g_d = (w lam F_sigma a)(d, .) of shift phi_11 y = d:
-    v_d = E diag(e^{-i s d x / 2}) g_d with one matrix E = e^{i s x x^T} for
-    all d, s = phi_22.  The columns of E are orthogonal with squared norm N,
-    so all diagonals are solved by one product with E^* / N, and the phases
-    are applied afterwards.  When phi expands the shift lattice (s > 1) the
-    modulation frequencies alias s:1; E then keeps the columns of the
-    canonical low-frequency representatives, and the product is their
-    least-squares fit.
+    Op_T(a) is the synthesis of g = w lam F_sigma a against W_std(phi xi).  On
+    the n = 1 grid with phi = diag(1, s) these unitaries are orthogonal,
+    tr(W_std(phi xi)^* W_std(phi xi')) = N delta, so g = tr(W_std(phi xi)^* A) / N
+    is one analysis, the adjoint of the synthesis.  When phi expands the
+    modulation lattice (s > 1) the frequencies alias s:1 and only the canonical
+    low-frequency representatives |j - N/2| < N/(2s) are kept; the aliased
+    coefficients are set to zero.
     """
     if ctx.space.n != 1:
         raise ValueError("symbol recovery is implemented for n = 1")
@@ -161,16 +115,12 @@ def recover_symbol(ctx, A):
     if abs(phi[1, 1] - s) > 1e-12 or s < 1:
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
-    N, w = grid.N, grid.weight
-    x = np.asarray(grid.axis)
-    lam = ctx.lam_values(grid.points()).reshape(N, N)
-    ii = np.arange(N)
-    reps = ii if s == 1 else ii[np.abs(ii - N // 2) < N // (2 * s)]
-    V = _centred_diagonals(A, 1, N)  # column dz is the diagonal at d = x[dz]
-    g = np.zeros((N, N), complex)
-    g[:, reps] = V.T @ np.exp(-1j * s * np.outer(x, x[reps])) / N
-    g *= np.exp(0.5j * s * np.outer(x, x))
-    return symplectic_fourier(GridFunction(grid, g / (lam * w)))
+    N, pts = grid.N, grid.points()
+    g = _analyze(ctx.config, pts, phi, A).reshape(N, N) / N
+    if s > 1:
+        g[:, np.abs(np.arange(N) - N // 2) >= N // (2 * s)] = 0.0
+    lam = ctx.lam_values(pts).reshape(N, N)
+    return symplectic_fourier(GridFunction(grid, g / (lam * grid.weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ def load_config(args):
     cfg.n = _config_int("n", cfg.n)
     cfg.N = _config_int("N", cfg.N)
     cfg.seed = _config_int("seed", cfg.seed)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.n not in (1, 2):
         raise ConfigError(f"n must be 1 or 2, got {cfg.n}")
     if cfg.N % 2 != 0 or not (4 <= cfg.N <= 256):
@@ -121,8 +123,8 @@ def load_config(args):
         T = np.asarray(cfg.T)
     except ValueError:  # ragged nesting
         T = None
-    if T is None or T.dtype.kind not in "iuf":
-        raise ConfigError(f"T must be a matrix of numbers, got {cfg.T!r}")
+    if T is None or T.dtype.kind not in "iuf" or not np.isfinite(T).all():
+        raise ConfigError(f"T must be a matrix of finite numbers, got {cfg.T!r}")
     if T.size != (2 * cfg.n) ** 2:
         raise ConfigError("T must be a 2n x 2n matrix (row-major)")
     if not isinstance(cfg.tolerances, dict):
@@ -134,25 +136,40 @@ def load_config(args):
     return cfg
 
 
+def _symbol_numbers(d, key, integer=False):
+    """The symbol field d[key] as a flat tuple of finite numbers, or of
+    non-negative integers; a ConfigError naming symbol.<key> otherwise."""
+    try:
+        arr = np.asarray(d.get(key, ()))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim == 0 or arr.size and (
+            arr.dtype.kind not in ("iu" if integer else "iuf")
+            or not np.isfinite(arr).all() or integer and arr.min() < 0):
+        what = "non-negative integers" if integer else "finite numbers"
+        raise ConfigError(f"symbol.{key} must be a list of {what}, got {d[key]!r}")
+    return tuple(arr.ravel().tolist())
+
+
 def _symbol_from_dict(d, grid):
+    if not isinstance(d, dict):
+        raise ConfigError(f"symbol must be a JSON object of symbol fields, got {d!r}")
     known = {"kind", "center", "covariance", "poly_coeffs", "chirp",
              "hermite_index", "path"}
     extra = set(d) - known
     if extra:
         raise ConfigError(f"unknown symbol fields {sorted(extra)}")
-    spec = SymbolSpec(kind=d.get("kind", "gaussian"),
-                      center=tuple(d.get("center", ())),
-                      covariance=tuple(np.asarray(d.get("covariance", ()),
-                                                  dtype=float).ravel().tolist()),
-                      poly_coeffs=tuple(d.get("poly_coeffs", ())),
-                      chirp=tuple(np.asarray(d.get("chirp", ()),
-                                             dtype=float).ravel().tolist()),
-                      hermite_index=tuple(d.get("hermite_index", ())),
-                      path=d.get("path", ""))
+    for key in ("kind", "path"):
+        if not isinstance(d.get(key, ""), str):
+            raise ConfigError(f"symbol.{key} must be a string, got {d[key]!r}")
+    spec = SymbolSpec(kind=d.get("kind", "gaussian"), path=d.get("path", ""),
+                      **{key: _symbol_numbers(d, key) for key in
+                         ("center", "covariance", "poly_coeffs", "chirp")},
+                      hermite_index=_symbol_numbers(d, "hermite_index", integer=True))
     try:
         return sample_symbol(spec, grid)
     except (OSError, ValueError) as exc:  # OSError: an unreadable symbol file
-        raise ConfigError(f"symbol.path: {exc}" if spec.kind == "file" else str(exc))
+        raise ConfigError(f"symbol.path: {exc}" if spec.kind == "file" else f"symbol: {exc}")
 
 
 def _context(cfg, T=None, N=None):

@@ -8,7 +8,7 @@ mu(xi) = e^{(i/2) sigma(xi, T xi)}.  Nondegeneracy of the multiplier is
 equivalent to invertibility of S.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,17 +18,16 @@ from .symplin import SymplecticSpace, sigma_eval, symplectic_adjoint
 
 @dataclass(frozen=True)
 class MultiplierContext:
+    """The multiplier data of T; S = T + T^sigma is derived from T."""
+
     space: SymplecticSpace
     T: np.ndarray
-    S: np.ndarray = None
+    S: np.ndarray = field(init=False)
 
     def __post_init__(self):
         T = np.asarray(self.T, dtype=float)
         object.__setattr__(self, "T", T)
-        S = T + symplectic_adjoint(self.space, T)
-        if self.S is not None and np.abs(np.asarray(self.S) - S).max() > 1e-13:
-            raise ValueError("cached S does not match T + T^sigma")
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", T + symplectic_adjoint(self.space, T))
 
 
 def omega(ctx, xi, eta):

@@ -46,7 +46,7 @@ import numpy as np
 from .calculus import quantize_T
 from .grid import (GridFunction, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
-from .weylrep import _per_shift, matrix_coefficient, u_conjugator
+from .weylrep import _shift_chunks, matrix_coefficient, u_conjugator
 
 
 @dataclass
@@ -72,18 +72,6 @@ def schatten_norm(A, p):
     return SchattenReport(p=p, norm=val, singular_values=s)
 
 
-@dataclass
-class SynthesisSpec:
-    ctx: object
-    b: object  # GridFunction or callable on phase points
-    G: np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.b, GridFunction) and self.b.grid != self.ctx.phase_grid:
-            raise ValueError("density grid does not match the context grid")
-        self.G = np.asarray(self.G, dtype=complex)
-
-
 def _cell_reps(ctx):
     """Axis repetition counts of the U-periodicity cell, in fundamental boxes."""
     Ainv = np.linalg.inv(ctx.phi @ ctx.Sinv)
@@ -104,9 +92,12 @@ def _accumulate(ctx, pts, bv, G):
     Fh = F.conj().T
     Ghat = F @ G @ Fh
     acc = np.zeros_like(G)
-    for idx, r, E in _per_shift(ctx.config, pts, ctx.phi @ ctx.Sinv):
-        X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
-        acc += X * ((E * bv[idx]) @ E.conj().T)
+    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.config, pts, ctx.phi @ ctx.Sinv):
+        bounds = np.searchsorted(iy, np.arange(len(R) + 1))
+        for r, lo, hi in zip(R, bounds[:-1], bounds[1:]):
+            X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
+            Ey = E[:, ip[lo:hi]]
+            acc += X * ((Ey * bv[sel[lo:hi]]) @ Ey.conj().T)
     return acc
 
 
@@ -159,19 +150,14 @@ def _ambiguity_average(config, a, axes, bv, G):
     return np.take_along_axis(out.reshape(N ** n, L ** n), idx, axis=1) / N ** n
 
 
-def kato_synthesis(spec_or_ctx, b=None, G=None):
+def kato_synthesis(ctx, b, G):
     """Average U(xi) G U(xi)^* against the density b over phase space.
 
-    Accepts either a SynthesisSpec or (ctx, b, G).  GridFunction densities are
-    summed over the fundamental box; callables over the full U-periodicity cell
-    (so that b == 1 reproduces the scalar identity exactly).  A diagonal
-    phi S^{-1} takes the ambiguity-domain kernel, a coupled one the shift
-    groups.
+    GridFunction densities are summed over the fundamental box; callables over
+    the full U-periodicity cell (so that b == 1 reproduces the scalar identity
+    exactly).  A diagonal phi S^{-1} takes the ambiguity-domain kernel, a
+    coupled one the shift groups.
     """
-    if isinstance(spec_or_ctx, SynthesisSpec):
-        ctx, b, G = spec_or_ctx.ctx, spec_or_ctx.b, spec_or_ctx.G
-    else:
-        ctx = spec_or_ctx
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
     if isinstance(b, GridFunction):

@@ -11,13 +11,18 @@ T-twisted system is W_tilde(xi) = W_std(phi xi) with the deterministic
 symplectomorphism phi normalizing the form built from S = T + T^sigma, and
 W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi).  The conjugators are
 U(xi) = W_tilde(S^{-1} xi).
+
+One chunked kernel serves every sum over W_std(A xi): _shift_chunks groups the
+points by shift and modulation, _synthesize sums g(xi) W_std(phi xi) over them
+and _analyze, its exact adjoint, takes tr(W_std(A xi)^* B) at each of them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, PhaseGrid, _axis, _lattice_points
+from .grid import (GridFunction, PhaseGrid, _axis, _centred_diagonals, _lattice_points,
+                   _ord_ift)
 from .symplin import (SymplecticSpace, factor_sigma_symmetric, nondegeneracy_gate,
                       sigma_eval)
 
@@ -152,81 +157,92 @@ def _distinct_rows(a):
     return s[new], inv
 
 
-def _shift_groups(config, pts, A):
-    """Distinct shifts and modulations of W_std(y, p) over points, (y, p) = A xi.
+_CHUNK_ELEMS = 1 << 22  # element budget of one chunk of _shift_chunks
 
-    W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y) with Mod(p) = diag(e^{i<x, p>})
-    and Shift(y) = F^* diag(r) F, r = e^{-i<k, y>}.  Returns (ys, iy, ps, ip):
-    the distinct shifts ys (Ny, n), the distinct modulations ps (Np, n) and,
-    per point, the index iy of its y in ys and ip of its p in ps.  Values are
-    grouped by exact equality, which assumes nothing about A.
+
+def _shift_chunks(config, pts, A):
+    """Chunks of whole shift groups of the points, for W_std(A xi).
+
+    With (y, p) = A xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
+    the self-dual grid Shift(y) = F^* diag(r_y) F, r_y = e^{-i<k, y>}, is
+    circulant: Shift(y)[a, b] = c_y[a - b] per axis mod N, for every real y.
+    y and p are grouped by exact equality, which assumes nothing about A.
+    Each chunk yields (sel, ip, iy, phase, E, C, R): its points sel, their
+    columns ip of E = e^{i x p^T} over the chunk's distinct p, their rows iy
+    of C[y] = c_y (centred order) and R[y] = r_y, and e^{-i<y, p>/2}.  A chunk
+    holds at most M shifts, and at most _CHUNK_ELEMS / M points unless all the
+    distinct p fit that budget, so its arrays stay within max(_CHUNK_ELEMS, M^2).
     """
-    n = config.n
+    n, N, M = config.n, config.N, config.M
+    x = config.coords()
     eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
     ys, iy = _distinct_rows(eta[:, :n])
     ps, ip = _distinct_rows(eta[:, n:])
-    return ys, iy, ps, ip
+    order = np.argsort(iy, kind="stable")
+    starts = np.searchsorted(iy[order], np.arange(len(ys) + 1))
+    max_y = max(1, min(M, _CHUNK_ELEMS // M))
+    max_pts = len(iy) if len(ps) * M <= _CHUNK_ELEMS else _CHUNK_ELEMS // M
+    axes = tuple(range(1, n + 1))
+    y0 = 0
+    while y0 < len(ys):
+        y1 = max(y0 + 1, min(y0 + max_y, np.searchsorted(
+            starts, starts[y0] + max_pts, "right") - 1))
+        sel = order[starts[y0]:starts[y1]]
+        pu, ipl = np.unique(ip[sel], return_inverse=True)
+        phase = np.exp(-0.5j * (ys[iy[sel]] * ps[ip[sel]]).sum(1))
+        R = np.exp(-1j * (ys[y0:y1] @ x.T))
+        C = _ord_ift(R.reshape((-1,) + (N,) * n), axes).reshape(-1, M)
+        yield sel, ipl, iy[sel] - y0, phase, np.exp(1j * (x @ ps[pu].T)), C, R
+        y0 = y1
 
 
-def _per_shift(config, pts, A):
-    """For each distinct shift y of _shift_groups: the indices of its points,
-    the ramp r (M,) and the modulation columns E = e^{i x p^T} (M, P_y).
+def _synthesize(ctx, g_flat):
+    """sum_xi g(xi) W_std(phi xi) over the phase grid, for any n and phi.
 
-    Only the coupled maps, whose shift y depends on the modulation coordinates
-    of xi, are summed this way."""
-    ys, iy, ps, ip = _shift_groups(config, pts, A)
-    x = config.coords()
-    groups = np.split(np.argsort(iy, kind="stable"), np.cumsum(np.bincount(iy))[:-1])
-    for y, idx in zip(ys, groups):
-        yield idx, np.exp(-1j * (x @ y)), np.exp(1j * (x @ ps[ip[idx]].T))
-
-
-def _mod_shift_coefficients(ctx, phi_v, psi_v, A):
-    """<phi_v, Mod(p) Shift(y) psi_v> at every phase grid point, (y, p) = A xi.
-
-    When A has no x-p block, y depends on the position coordinates of xi only
-    and p on the momentum ones, and the grid of coefficients is one product
-    (S o conj(phi_v))^T E with S = F^* (R o psi_hat), R = e^{-i x (A_xx xi)^T}
-    and E = e^{i x (A_pp xi)^T}.  A coupled A takes one inverse transform of
-    psi_v per distinct shift and one product against its modulations.
+    Op[a, b] = G[a, a - b + N/2] (the centred diagonals of G) with
+    G = sum over chunks of E (Gm C), Gm[p, y] = g(xi) e^{-i<y, p>/2}.  Where
+    the points are the product of their distinct y and p (every n = 1 map,
+    block-diagonal phi at n = 2) this costs O(M^3).
     """
-    n = ctx.config.n
-    F = ctx.config.dft()
-    phi_c = np.conj(np.asarray(phi_v, complex).ravel())
-    psi_hat = F @ np.asarray(psi_v, complex).ravel()
-    if not (np.count_nonzero(A[:n, n:]) or np.count_nonzero(A[n:, :n])):
-        x = ctx.config.coords()
-        xi = x.T  # the position (and the momentum) lattice of the phase grid
-        S = F.conj().T @ (np.exp(-1j * (x @ A[:n, :n] @ xi)) * psi_hat[:, None])
-        E = np.exp(1j * (x @ A[n:, n:] @ xi))
-        return ((S * phi_c[:, None]).T @ E).ravel()
-    pts = ctx.phase_grid.points()
-    vals = np.empty(pts.shape[0], complex)
-    for idx, r, E in _per_shift(ctx.config, pts, A):
-        vals[idx] = E.T @ (phi_c * (F.conj().T @ (r * psi_hat)))
-    return vals
+    config = ctx.config
+    G = np.zeros((config.M, config.M), complex)
+    for sel, ip, iy, phase, E, C, _ in _shift_chunks(config, ctx.phase_grid.points(),
+                                                     ctx.phi):
+        Gm = np.zeros((E.shape[1], C.shape[0]), complex)
+        Gm[ip, iy] = g_flat[sel] * phase
+        G += E @ (Gm @ C)
+    return _centred_diagonals(G, config.n, config.N)
+
+
+def _analyze(config, pts, A, B):
+    """tr(W_std(A xi)^* B) at every point: the adjoint of the synthesis.
+
+    With D the centred diagonals of B, the value at xi is
+    (E^* D C^*)[p, y] e^{i<y, p>/2}, so vdot(sum_xi g W_std(A xi), B) equals
+    vdot(g, _analyze(config, pts, A, B)) for every n and A.
+    """
+    D = _centred_diagonals(np.asarray(B, dtype=complex), config.n, config.N)
+    out = np.empty(len(pts), complex)
+    for sel, ip, iy, phase, E, C, _ in _shift_chunks(config, pts, A):
+        out[sel] = (E.conj().T @ D @ C.conj().T)[ip, iy] * phase.conj()
+    return out
 
 
 def orthogonality_integral(ctx, phi_v, psi_v):
     """Grid integral of |<phi_v, U(xi) psi_v>|^2 over the whole phase grid.
 
-    For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.  The
-    phase e^{-i<y, p>/2} of U(xi) = W_std(phi S^{-1} xi) drops out of |.|^2.
+    For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.
+    Each coefficient is conj(tr(U(xi)^* phi_v psi_v^*)), U(xi) = W_std(phi S^{-1} xi).
     """
-    vals = _mod_shift_coefficients(ctx, phi_v, psi_v, ctx.phi @ ctx.Sinv)
+    vals = _analyze(ctx.config, ctx.phase_grid.points(), ctx.phi @ ctx.Sinv,
+                    np.outer(phi_v, np.conj(psi_v)))
     return float(np.sum(np.abs(vals) ** 2)) * ctx.phase_grid.weight
 
 
 def matrix_coefficient(ctx, phi_v, psi_v):
-    """Sample w(xi) = <phi_v, W(xi) psi_v> over the whole phase grid.
-
-    Uses the split W(xi) = lam(xi) e^{-i<y, p>/2} Mod(p) Shift(y) with
-    (y, p) = phi xi, grouped by shift, so no unitary is materialized.
-    """
+    """Sample w(xi) = <phi_v, W(xi) psi_v> = lam(xi) conj(tr(W_std(phi xi)^*
+    phi_v psi_v^*)) over the whole phase grid; no unitary is materialized."""
     grid = ctx.phase_grid
-    n = grid.n
     pts = grid.points()
-    eta = pts @ ctx.phi.T
-    half = np.exp(-0.5j * (eta[:, :n] * eta[:, n:]).sum(1))
-    vals = _mod_shift_coefficients(ctx, phi_v, psi_v, ctx.phi)
-    return GridFunction(grid, ctx.lam_values(pts) * half * vals)
+    vals = _analyze(ctx.config, pts, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
+    return GridFunction(grid, ctx.lam_values(pts) * np.conj(vals))

@@ -5,6 +5,7 @@ from symplecta.grid import _centred_roll
 from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
 from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
+from symplecta import weylrep
 from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
 
 SUITE_T = {
@@ -29,6 +30,21 @@ DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUI
 def make_ctx(T, N=32, n=1):
     return build_rep_context(SymplecticSpace(n), np.asarray(T, dtype=float),
                              ConfigGrid(n, N))
+
+
+def count_shift_chunks(monkeypatch, budget):
+    """Set the element budget of weylrep._shift_chunks; return the list that
+    collects every chunk it yields, so a test can tell that the split ran."""
+    chunks, shift_chunks = [], weylrep._shift_chunks
+
+    def counted(*args):
+        for chunk in shift_chunks(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(weylrep, "_CHUNK_ELEMS", budget)
+    monkeypatch.setattr(weylrep, "_shift_chunks", counted)
+    return chunks
 
 
 def unit_gaussians_1d(N):

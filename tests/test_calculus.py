@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import MIXED_T2, SUITE_T, gaussian, make_ctx, synth_fast_1d, synth_generic
-from symplecta import calculus
+from conftest import (MIXED_T2, SUITE_T, count_shift_chunks, gaussian, make_ctx,
+                      synth_fast_1d, synth_generic)
 from symplecta.calculus import (_synthesize, inverse_lambda_transform,
                                 lambda_transform, quantize_T,
                                 quantize_theta_tau_kernel, quantize_weyl,
@@ -164,9 +164,10 @@ def test_synthesis_split_into_shift_chunks(monkeypatch):
     # map is summed one shift group at a time (MIXED_T2 at N = 4 above splits
     # its 64 shifts into chunks of M = 16 under the real budget)
     ctx = make_ctx(SUITE_T["general"], N=12)
-    monkeypatch.setattr(calculus, "_CHUNK_ELEMS", 3 * ctx.config.M)
+    chunks = count_shift_chunks(monkeypatch, 3 * ctx.config.M)
     g = _random_coefficients(ctx)
     _assert_close(_synthesize(ctx, g), synth_fast_1d(ctx, g))
+    assert len(chunks) > 1
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_T))

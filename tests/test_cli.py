@@ -223,3 +223,34 @@ def test_verify_kato_below_n32_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: N must be at least 32 for verify-kato" in err and "N=16" in err
     assert not (tmp_path / "report-verify-kato.csv").exists()
+
+
+@pytest.mark.parametrize("argv, data", [(["--seed", "-1"], {}), ([], {"seed": -3})])
+def test_negative_seed_exits_two(tmp_path, capsys, argv, data):
+    cfg = write_cfg(tmp_path, **data)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)] + argv) == 2
+    assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "report-verify-core.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_T_exits_two(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"T": [[%s, 0], [0, 0.5]]}' % bad)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error: T must be a matrix of finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol, field", [
+    ("gaussian", "symbol must be"),
+    ({"center": 0.5}, "symbol.center"),
+    ({"covariance": "abc"}, "symbol.covariance"),
+    ({"kind": "polynomial-times-gaussian", "poly_coeffs": ["a", "b"]}, "symbol.poly_coeffs"),
+    ({"kind": "hermite-gaussian", "hermite_index": [1.5, 1]}, "symbol.hermite_index"),
+    ({"kind": ["gaussian"]}, "symbol.kind"),
+    ({"kind": "file", "path": 5}, "symbol.path")])
+def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
+    cfg = write_cfg(tmp_path, N=16, symbol=symbol)
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "op-synthesis.txt").exists()

@@ -48,11 +48,6 @@ def test_coboundary_residual_rejects_empty_samples():
         coboundary_residual(random_ctx(), [])
 
 
-def test_context_rejects_inconsistent_cached_symmetrization():
-    with pytest.raises(ValueError):
-        MultiplierContext(SP, np.eye(2), S=3 * np.eye(2))
-
-
 def test_batched_multiplier_evaluation_matches_scalar():
     ctx = random_ctx()
     xi = rng.standard_normal(2)

@@ -5,7 +5,7 @@ from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
 from symplecta import katoschatten
 from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
-from symplecta.katoschatten import (NormReport, SynthesisSpec, _cell_reps, bound_suite,
+from symplecta.katoschatten import (NormReport, _cell_reps, bound_suite,
                                     conjugation_coefficient_residual,
                                     kato_identity_residual, kato_synthesis,
                                     majorization_residual,
@@ -69,8 +69,6 @@ def test_synthesis_linearity_and_zero_density():
 def test_synthesis_spec_grid_mismatch():
     ctx = make_ctx(SUITE_T["half"], N=16)
     other = gaussian(make_grid(1, 32))
-    with pytest.raises(ValueError):
-        SynthesisSpec(ctx, other, np.eye(16))
     with pytest.raises(ValueError):
         kato_synthesis(ctx, other, np.eye(16))
     with pytest.raises(TypeError):

@@ -9,12 +9,13 @@ approximations that need a smooth symbol.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import kernel_route_loop, make_ctx
+from conftest import MIXED_T2, kernel_route_loop, make_ctx
 from symplecta.calculus import quantize_T, quantize_theta_tau_kernel, recover_symbol
 from symplecta.cocycle import MultiplierContext, coboundary_residual, cocycle_residual
 from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
 from symplecta.katoschatten import _accumulate, _ambiguity_average
 from symplecta.symplin import SymplecticSpace
+from symplecta.weylrep import _analyze, _synthesize
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -59,6 +60,23 @@ def test_recover_symbol_inverts_quantize_T(tau, N, seed):
     a = GridFunction(ctx.phase_grid, random_complex(seed, (N, N)))
     back = recover_symbol(ctx, quantize_T(ctx, a))
     assert np.abs(back.values - a.values).max() < 1e-8
+
+
+@PROPERTY
+@given(case=st.one_of(
+    st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(
+        lambda t: np.reshape(t, (2, 2))), st.just(1), even_N),
+    st.just((MIXED_T2, 2, 4))), seed=seeds)
+def test_analysis_is_the_adjoint_of_synthesis(case, seed):
+    T, n, N = case
+    assume(abs(np.trace(T)) > 0.1 or n == 2)  # n = 1: S = tr(T) I
+    ctx = make_ctx(T, N=N, n=n)
+    pts = ctx.phase_grid.points()
+    g = random_complex(seed, len(pts))
+    B = random_complex(seed + 1, (ctx.config.M,) * 2)
+    lhs = np.vdot(_synthesize(ctx, g), B)
+    rhs = np.vdot(g, _analyze(ctx.config, pts, ctx.phi, B))
+    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
 @PROPERTY

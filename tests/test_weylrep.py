@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, make_ctx,
-                      unit_gaussians_1d)
+from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, count_shift_chunks,
+                      make_ctx, unit_gaussians_1d)
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
 from symplecta.grid import GridFunction
 from symplecta.symplin import SymplecticSpace
@@ -120,6 +120,25 @@ def test_orthogonality_integral_matches_dense_sum(T, n, N):
     want = (np.sum(np.abs(np.einsum("a,iab,b->i", phi.conj(), U, psi)) ** 2)
             * ctx.phase_grid.weight)
     assert abs(orthogonality_integral(ctx, phi, psi) - want) < 1e-12 * want
+
+
+def test_coefficients_over_many_shift_chunks_match_dense_oracles(monkeypatch):
+    # a budget of 2 M elements holds two shifts per chunk
+    ctx = make_ctx(MIXED_T2, N=4, n=2)
+    chunks = count_shift_chunks(monkeypatch, 2 * ctx.config.M)
+    phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    pts = ctx.phase_grid.points()
+    w = matrix_coefficient(ctx, phi, psi)
+    direct = np.array([np.vdot(phi, weyl_W(ctx, xi) @ psi) for xi in pts])
+    assert np.abs(w.values.ravel() - direct).max() < 1e-12 * np.abs(direct).max()
+    assert len(chunks) > 1
+    del chunks[:]
+    U = u_conjugator_batch(ctx, pts)
+    want = (np.sum(np.abs(np.einsum("a,iab,b->i", phi.conj(), U, psi)) ** 2)
+            * ctx.phase_grid.weight)
+    assert abs(orthogonality_integral(ctx, phi, psi) - want) < 1e-12 * want
+    assert len(chunks) > 1
 
 
 @pytest.mark.parametrize("name", ["half", "unit", "diag37"])
