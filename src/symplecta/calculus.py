@@ -43,7 +43,7 @@ def quantize_weyl(ctx, b):
     return _synthesize(ctx, cb * ctx.phase_grid.weight)
 
 
-def lambda_transform(ctx, a, mode=None):
+def lambda_transform(ctx, a):
     """The symbol transform Lam: Op_T(a) = Op_tilde(Lam a).
 
     Multiplies the sigma-Fourier transform by lam(xi) = e^{-(i/2) sigma(xi,T xi)}
@@ -54,8 +54,7 @@ def lambda_transform(ctx, a, mode=None):
     pts = ctx.phase_grid.points()
     lam = ctx.lam_values(pts).reshape(a.values.shape)
     am = apply_multiplier(lam, a)
-    if mode is None:
-        mode = "exact" if np.abs(ctx.S - np.eye(ctx.space.dim)).max() < 1e-12 else "truncated"
+    mode = "exact" if np.abs(ctx.S - np.eye(ctx.space.dim)).max() < 1e-12 else "truncated"
     return pullback(ctx.S, am, mode=mode)
 
 
@@ -116,7 +115,7 @@ def recover_symbol(ctx, A):
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
     N, pts = grid.N, grid.points()
-    g = _analyze(ctx.config, pts, phi, A).reshape(N, N) / N
+    g = _analyze(grid, pts, phi, A).reshape(N, N) / N
     if s > 1:
         g[:, np.abs(np.arange(N) - N // 2) >= N // (2 * s)] = 0.0
     lam = ctx.lam_values(pts).reshape(N, N)

@@ -9,11 +9,13 @@ Exit codes: 0 all checks passed, 1 verification failure, 2 usage/config error.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .katoschatten import (bound_suite, kato_identity_residual, kato_synthesis,
 from .spaces import (WeightSpec, WindowSpec, chirp_TA, dilation_ratio,
                      embedding_bound, modulation_norm, sobolev_k_norm)
 from .symplin import SymplecticSpace, nondegeneracy_gate
-from .weylrep import ConfigGrid, build_rep_context, orthogonality_integral
+from .weylrep import build_rep_context, orthogonality_integral
 
 SUITES = ("verify-core", "verify-kato", "norms", "quantize", "bounds")
 
@@ -38,6 +40,17 @@ DEFAULT_SUITE_T = (
     ("T=diag(.3,.7)", ((0.3, 0.0), (0.0, 0.7))),
     ("T=gen", ((0.2, 0.5), (-0.3, 0.8))),
 )
+
+
+# default bound of each tolerance tag; the config's "tolerances" may override them
+TOLERANCES = {
+    "sec3-cocycle": 1e-12, "sec3-coboundary": 1e-12, "sec3-normalization": 1e-12,
+    "sec3-nondegeneracy": 1e-10, "sec2-fsigma-involution": 1e-10,
+    "sec2-fsigma-isometry": 1e-10, "sec2-fsigma-gaussian": 1e-8,
+    "sec4-unit-symbol": 1e-9, "thm-n4": 1e-7, "sec1-routes": 1e-7,
+    "thm-n14-a": 1e-6, "eq-K2": 1e-6, "thm-n15-ii": 1e-2, "thm-n15-i": 1e-9,
+    "sec9-orthogonality": 1e-2, "thm-n5-inverse": 1e-10,
+}
 
 
 class ConfigError(Exception):
@@ -62,15 +75,13 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def matrix_T(self):
-        T = np.asarray(self.T, dtype=float).reshape(2 * self.n, 2 * self.n)
-        return T
+        return np.asarray(self.T, dtype=float).reshape(2 * self.n, 2 * self.n)
 
-    def tol(self, tag, default):
-        return float(self.tolerances.get(tag, default))
+    def tol(self, tag):
+        return float(self.tolerances.get(tag, TOLERANCES[tag]))
 
 
-CONFIG_KEYS = ("n", "N", "T", "symbol", "suite", "route", "seed", "out",
-               "tolerances")
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "json_mirror")
 
 
 def _config_int(key, val):
@@ -127,9 +138,14 @@ def load_config(args):
         raise ConfigError(f"T must be a matrix of finite numbers, got {cfg.T!r}")
     if T.size != (2 * cfg.n) ** 2:
         raise ConfigError("T must be a 2n x 2n matrix (row-major)")
+    if not isinstance(cfg.out, str) or not cfg.out:
+        raise ConfigError(f"out must be a non-empty path string, got {cfg.out!r}")
     if not isinstance(cfg.tolerances, dict):
         raise ConfigError("tolerances must be a mapping")
     for tag, val in cfg.tolerances.items():
+        if tag not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance tag {tag!r}; known tags are "
+                              f"{sorted(TOLERANCES)}")
         if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
             raise ConfigError(f"tolerances[{tag!r}] must be a positive number, "
                               f"got {val!r}")
@@ -154,8 +170,7 @@ def _symbol_numbers(d, key, integer=False):
 def _symbol_from_dict(d, grid):
     if not isinstance(d, dict):
         raise ConfigError(f"symbol must be a JSON object of symbol fields, got {d!r}")
-    known = {"kind", "center", "covariance", "poly_coeffs", "chirp",
-             "hermite_index", "path"}
+    known = {f.name for f in fields(SymbolSpec)}
     extra = set(d) - known
     if extra:
         raise ConfigError(f"unknown symbol fields {sorted(extra)}")
@@ -172,13 +187,26 @@ def _symbol_from_dict(d, grid):
         raise ConfigError(f"symbol.path: {exc}" if spec.kind == "file" else f"symbol: {exc}")
 
 
-def _context(cfg, T=None, N=None):
-    space = SymplecticSpace(cfg.n)
+def _context(cfg, T=None):
     T = cfg.matrix_T() if T is None else np.asarray(T, dtype=float)
     try:
-        return build_rep_context(space, T, ConfigGrid(cfg.n, N or cfg.N))
-    except ValueError as exc:
+        return build_rep_context(SymplecticSpace(cfg.n), T, make_grid(cfg.n, cfg.N))
+    except (ValueError, ArithmeticError) as exc:
         raise VerificationFailure(str(exc))
+
+
+@contextlib.contextmanager
+def _writing_out(cfg):
+    """Turn an OSError from creating or writing into cfg.out into a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write to {cfg.out!r}: {exc}")
+
+
+def _check(report, cfg, tag, value, label=None):
+    """Add the row `label` (default: the tag) with the bound of its tolerance tag."""
+    report.add(label or tag, 0, 0, value, cfg.tol(tag))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +230,9 @@ def _suite_verify_core(cfg, report, rng):
         from .cocycle import omega_tilde
         for xi in rng.standard_normal((50, d)):
             worst_norm = max(worst_norm, abs(omega_tilde(ctx, xi, -xi) - 1.0))
-    report.add("sec3-cocycle", 0, 0, worst_cocycle, cfg.tol("sec3-cocycle", 1e-12))
-    report.add("sec3-coboundary", 0, 0, worst_cob,
-               cfg.tol("sec3-coboundary", 1e-12))
-    report.add("sec3-normalization", 0, 0, worst_norm,
-               cfg.tol("sec3-normalization", 1e-12))
+    _check(report, cfg, "sec3-cocycle", worst_cocycle)
+    _check(report, cfg, "sec3-coboundary", worst_cob)
+    _check(report, cfg, "sec3-normalization", worst_norm)
     # nondegeneracy dichotomy, including one constructed degenerate map
     worst_dich = 0.0
     maps = [rng.standard_normal((d, d)) for _ in range(19)] + [space.J.copy()]
@@ -223,8 +249,7 @@ def _suite_verify_core(cfg, report, rng):
             wts = gate.kernel_witness
             sym = np.abs(omega(mctx, wts, etas) - omega(mctx, etas, wts)).max()
             worst_dich = max(worst_dich, sym)
-    report.add("sec3-nondegeneracy", 0, 0, worst_dich,
-               cfg.tol("sec3-nondegeneracy", 1e-10))
+    _check(report, cfg, "sec3-nondegeneracy", worst_dich)
     # symplectic Fourier involution / isometry
     grid = make_grid(cfg.n, cfg.N)
     worst_inv = 0.0
@@ -237,34 +262,25 @@ def _suite_verify_core(cfg, report, rng):
         worst_inv = max(worst_inv, np.linalg.norm(ff.values - f.values) / sc)
         worst_iso = max(worst_iso,
                         abs(np.linalg.norm(symplectic_fourier(f).values) - sc) / sc)
-    report.add("sec2-fsigma-involution", 0, 0, worst_inv,
-               cfg.tol("sec2-fsigma-involution", 1e-10))
-    report.add("sec2-fsigma-isometry", 0, 0, worst_iso,
-               cfg.tol("sec2-fsigma-isometry", 1e-10))
+    _check(report, cfg, "sec2-fsigma-involution", worst_inv)
+    _check(report, cfg, "sec2-fsigma-isometry", worst_iso)
     g = _gaussian(grid, 1.0)
-    report.add("sec2-fsigma-gaussian", 0, 0,
-               np.abs(symplectic_fourier(g).values - g.values).max(),
-               cfg.tol("sec2-fsigma-gaussian", 1e-8))
+    _check(report, cfg, "sec2-fsigma-gaussian",
+           np.abs(symplectic_fourier(g).values - g.values).max())
     # quantization sanity for the configured T
     ctx = _context(cfg)
     one = GridFunction(grid, np.ones(grid.N ** grid.dim))
     A1 = quantize_T(ctx, one)
-    report.add("sec4-unit-symbol", 0, 0,
-               np.abs(A1 - np.eye(ctx.config.M)).max(),
-               cfg.tol("sec4-unit-symbol", 1e-9))
+    _check(report, cfg, "sec4-unit-symbol", np.abs(A1 - np.eye(grid.M)).max())
     a = _gaussian(grid, 1.2, tilt=0.3)
     lhs = quantize_T(ctx, a)
     rhs = quantize_weyl(ctx, lambda_transform(ctx, a))
-    report.add("thm-n4", 0, 0,
-               np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs),
-               cfg.tol("thm-n4", 1e-7))
+    _check(report, cfg, "thm-n4", np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
     if cfg.n == 1:
         ctx_h = _context(cfg, T=np.diag([0.5, 0.5]))
         K = quantize_theta_tau_kernel(grid, 0.5, 0.5, a)
         A = quantize_T(ctx_h, a)
-        report.add("sec1-routes", 0, 0,
-                   np.linalg.norm(K - A) / np.linalg.norm(A),
-                   cfg.tol("sec1-routes", 1e-7))
+        _check(report, cfg, "sec1-routes", np.linalg.norm(K - A) / np.linalg.norm(A))
     return report
 
 
@@ -282,40 +298,38 @@ def _suite_verify_kato(cfg, report, rng):
     chirp = np.exp(0.5j * 0.3 * pts[:, 0] * pts[:, 1]).reshape(b.values.shape)
     for label, T in DEFAULT_SUITE_T:
         ctx = _context(cfg, T=T)
-        report.add(f"thm-n14-a[{label}]", 0, 0,
-                   kato_identity_residual(ctx, b, c), cfg.tol("thm-n14-a", 1e-6))
-        report.add(f"eq-K2[{label}]", 0, 0,
-                   multiplier_identity_residual(ctx, b, c, chirp),
-                   cfg.tol("eq-K2", 1e-6))
+        _check(report, cfg, "thm-n14-a", kato_identity_residual(ctx, b, c),
+               f"thm-n14-a[{label}]")
+        _check(report, cfg, "eq-K2", multiplier_identity_residual(ctx, b, c, chirp),
+               f"eq-K2[{label}]")
         # scalar synthesis identity and positivity
-        M = ctx.config.M
+        M = grid.M
         u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         G = np.outer(u, v.conj())
         BG = kato_synthesis(ctx, (lambda xi: np.ones(xi.shape[0])), G)
         want = np.sqrt(ctx.detS) * np.trace(G) * np.eye(M)
-        report.add(f"thm-n15-ii[{label}]", 0, 0,
-                   np.linalg.norm(BG - want) / np.linalg.norm(want),
-                   cfg.tol("thm-n15-ii", 1e-2))
+        _check(report, cfg, "thm-n15-ii",
+               np.linalg.norm(BG - want) / np.linalg.norm(want), f"thm-n15-ii[{label}]")
         Gp = np.outer(u, u.conj())
         BGp = kato_synthesis(ctx, b, Gp)
         mineig = np.linalg.eigvalsh(0.5 * (BGp + BGp.conj().T)).min()
         scale = np.linalg.norm(BGp)
-        report.add(f"thm-n15-i[{label}]", 0, 0, max(0.0, -mineig) / scale,
-                   cfg.tol("thm-n15-i", 1e-9))
+        _check(report, cfg, "thm-n15-i", max(0.0, -mineig) / scale,
+               f"thm-n15-i[{label}]")
     # orthogonality relation at the configured N
     for label, T in (("T=I/2", np.diag([0.5, 0.5])), ("T=I", np.eye(2)),
                      ("T=diag(.3,.7)", np.diag([0.3, 0.7]))):
         ctx = _context(cfg, T=T)
-        x = np.asarray(ctx.config.axis)
+        x = np.asarray(grid.axis)
         phi_v = np.exp(-x ** 2 / 2) * (1 + 0.1 * x)
         phi_v /= np.linalg.norm(phi_v)
         psi_v = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
         psi_v /= np.linalg.norm(psi_v)
         val = orthogonality_integral(ctx, phi_v, psi_v)
         want = np.sqrt(ctx.detS)
-        report.add(f"sec9-orthogonality[{label}]", 0, 0,
-                   abs(val - want) / want, cfg.tol("sec9-orthogonality", 1e-2))
+        _check(report, cfg, "sec9-orthogonality", abs(val - want) / want,
+               f"sec9-orthogonality[{label}]")
     return report
 
 
@@ -327,8 +341,7 @@ def _suite_norms(cfg, report, rng):
     u = (np.exp(-(np.arange(N) - N // 2) ** 2 / 30.0)
          * np.exp(0.2j * (np.arange(N) - N // 2)))
     v = chirp_TA(-A, chirp_TA(A, u))
-    report.add("thm-n5-inverse", 0, 0, np.abs(v - u).max(),
-               cfg.tol("thm-n5-inverse", 1e-10))
+    _check(report, cfg, "thm-n5-inverse", np.abs(v - u).max())
     sup_before = np.abs(_ord_ft(u.astype(complex))) > 1e-12
     sup_after = np.abs(_ord_ft(chirp_TA(A, u))) > 1e-12
     report.add("thm-n5-support", 0, 0,
@@ -375,52 +388,47 @@ def _suite_bounds(cfg, report, rng):
 
 
 def _write_report(cfg, report, name):
-    os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"{name}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    if cfg.json_mirror:
-        payload = {
-            "rows": [{"quantity": r.quantity, "p": r.p, "q": r.q,
-                      "value": r.value, "bound": r.bound, "ratio": r.ratio,
-                      "pass": r.passed} for r in report.rows],
-            "frozen_constants": report.frozen_constants,
-            "calibration": "frozen constant = 2x first-member measured ratio",
-            "config": {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
-                       "suite": cfg.suite, "seed": cfg.seed},
-        }
-        with open(os.path.join(cfg.out, f"{name}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with _writing_out(cfg):
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_csv())
+        if cfg.json_mirror:
+            payload = {
+                "rows": [{"quantity": r.quantity, "p": r.p, "q": r.q,
+                          "value": r.value, "bound": r.bound, "ratio": r.ratio,
+                          "pass": r.passed} for r in report.rows],
+                "frozen_constants": report.frozen_constants,
+                "calibration": "frozen constant = 2x first-member measured ratio",
+                "config": {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
+                           "suite": cfg.suite, "seed": cfg.seed},
+            }
+            with open(os.path.join(cfg.out, f"{name}.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     return csv_path
 
 
-def cmd_verify(cfg):
+def _run(cfg, suites, name, title):
+    """Run the suites into one report, write it as `name` and print its summary."""
     rng = np.random.default_rng(cfg.seed)
     report = NormReport()
-    if cfg.suite == "verify-core":
-        _suite_verify_core(cfg, report, rng)
-    elif cfg.suite == "verify-kato":
-        _suite_verify_kato(cfg, report, rng)
-    elif cfg.suite == "norms":
-        _suite_norms(cfg, report, rng)
-    elif cfg.suite == "bounds":
-        _suite_bounds(cfg, report, rng)
-    else:
-        raise ConfigError("suite quantize is driven by the quantize command")
-    path = _write_report(cfg, report, f"report-{cfg.suite}")
+    for suite in suites:
+        suite(cfg, report, rng)
+    path = _write_report(cfg, report, name)
     ok = report.all_passed()
-    print(f"{cfg.suite}: {'PASS' if ok else 'FAIL'} "
+    print(f"{title}: {'PASS' if ok else 'FAIL'} "
           f"({sum(r.passed for r in report.rows)}/{len(report.rows)} rows) -> {path}")
     return 0 if ok else 1
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+def cmd_verify(cfg):
+    suite = {"verify-core": _suite_verify_core, "verify-kato": _suite_verify_kato,
+             "norms": _suite_norms, "bounds": _suite_bounds}.get(cfg.suite)
+    if suite is None:
+        raise ConfigError("suite quantize is driven by the quantize command")
+    return _run(cfg, [suite], f"report-{cfg.suite}", cfg.suite)
 
 
 def cmd_quantize(cfg):
@@ -437,35 +445,28 @@ def cmd_quantize(cfg):
     else:
         ctx = _context(cfg)
         A = quantize_T(ctx, a)
-    os.makedirs(cfg.out, exist_ok=True)
     op_path = os.path.join(cfg.out, f"op-{cfg.route}.txt")
-    write_operator(A, op_path)
     provenance = {
         "route": cfg.route,
         "n": cfg.n,
         "N": cfg.N,
         "T": np.asarray(cfg.T).tolist(),
         "symbol": cfg.symbol,
-        "sha256": _sha256(op_path),
     }
-    with open(os.path.join(cfg.out, f"op-{cfg.route}.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing_out(cfg):
+        os.makedirs(cfg.out, exist_ok=True)
+        write_operator(A, op_path)
+        provenance["sha256"] = hashlib.sha256(Path(op_path).read_bytes()).hexdigest()
+        with open(os.path.join(cfg.out, f"op-{cfg.route}.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(provenance, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(f"quantize[{cfg.route}]: wrote {op_path}")
     return 0
 
 
 def cmd_report(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    report = NormReport()
-    _suite_norms(cfg, report, rng)
-    _suite_bounds(cfg, report, rng)
-    path = _write_report(cfg, report, "report-full")
-    ok = report.all_passed()
-    print(f"report: {'PASS' if ok else 'FAIL'} "
-          f"({sum(r.passed for r in report.rows)}/{len(report.rows)} rows) -> {path}")
-    return 0 if ok else 1
+    return _run(cfg, [_suite_norms, _suite_bounds], "report-full", "report")
 
 
 def main(argv=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplin import SymplecticSpace, sigma_eval
+from .symplin import _RANK_RTOL, SymplecticSpace, sigma_eval
 
 
 def _axis(N):
@@ -92,7 +92,8 @@ def _gauss_hermite(z, cov, hermite):
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform self-dual grid on W = R^{2n}."""
+    """Uniform self-dual grid on W = R^{2n}; its first n axes are the
+    configuration lattice of the representation on C^M."""
 
     n: int
     N: int
@@ -112,6 +113,11 @@ class PhaseGrid:
         return 2 * self.n
 
     @property
+    def M(self):
+        """State dimension N^n of the configuration lattice, the first n axes."""
+        return self.N ** self.n
+
+    @property
     def axis(self):
         """Centered axis coordinates {-N/2, ..., N/2-1} * h."""
         return _axis(self.N)
@@ -128,6 +134,18 @@ class PhaseGrid:
     def points(self):
         """All grid points as an (N^{2n}, 2n) array in lexicographic order."""
         return _lattice_points(self.N, self.dim)
+
+    def coords(self):
+        """All M configuration points, shape (M, n); also the frequencies of dft()."""
+        return _lattice_points(self.N, self.n)
+
+    def dft(self):
+        """Centered unitary DFT matrix on C^M (tensor power of the 1-D kernel)."""
+        F1 = np.exp(-1j * np.outer(self.axis, self.axis)) / np.sqrt(self.N)
+        F = F1
+        for _ in range(self.n - 1):
+            F = np.kron(F, F1)
+        return F
 
     def space(self):
         return SymplecticSpace(self.n)
@@ -271,32 +289,24 @@ def pullback(A, f, mode="exact"):
     """
     A = np.asarray(A, dtype=float)
     grid = f.grid
-    if abs(np.linalg.det(A)) < 1e-14:
+    svals = np.linalg.svd(A, compute_uv=False) if np.isfinite(A).all() else [0.0]
+    if not svals[-1] > _RANK_RTOL * svals[0]:
         raise ValueError("singular pullback map")
     N = grid.N
-    if mode in ("exact", "truncated"):
-        Ai = _lattice_matrix(A)
-        if Ai is None:
-            if mode == "exact":
-                raise ValueError("exact pullback needs a lattice map; use mode='resampled'")
-            return GridFunction(grid, _resample(f.values, A, mask_outside=True))
+    Ai = _lattice_matrix(A) if mode in ("exact", "truncated") else None
+    if Ai is not None:
         m = np.indices((N,) * grid.dim).reshape(grid.dim, -1).T - N // 2  # (P, 2n)
-        tgt = m @ Ai.T
-        if mode == "exact":
-            tgt_idx = (tgt + N // 2) % N
-            flat = np.ravel_multi_index(tuple(tgt_idx.T), f.values.shape)
-            out = f.values.ravel()[flat].reshape(f.values.shape)
-        else:
-            inside = np.all((tgt >= -N // 2) & (tgt < N // 2), axis=1)
-            out = np.zeros(f.values.size, complex)
-            tgt_idx = (tgt[inside] + N // 2)
-            flat = np.ravel_multi_index(tuple(tgt_idx.T), f.values.shape)
-            out[inside] = f.values.ravel()[flat]
-            out = out.reshape(f.values.shape)
+        tgt = m @ Ai.T + N // 2
+        out = f.values.ravel()[np.ravel_multi_index(tuple(tgt.T), f.values.shape,
+                                                    mode="wrap")]
+        if mode == "truncated":
+            out[np.any((tgt < 0) | (tgt >= N), axis=1)] = 0.0
         return GridFunction(grid, out)
-    if mode == "resampled":
-        return GridFunction(grid, _resample(f.values, A))
-    raise ValueError(f"unknown pullback mode {mode!r}")
+    if mode == "exact":
+        raise ValueError("exact pullback needs a lattice map; use mode='resampled'")
+    if mode not in ("resampled", "truncated"):
+        raise ValueError(f"unknown pullback mode {mode!r}")
+    return GridFunction(grid, _resample(f.values, A, mask_outside=mode == "truncated"))
 
 
 def _resample(vals, A, mask_outside=False):
@@ -305,7 +315,6 @@ def _resample(vals, A, mask_outside=False):
     fundamental box give 0."""
     N, d = vals.shape[0], vals.ndim
     ax = _axis(N)
-    L = N * np.sqrt(2 * np.pi / N)
     # Fourier coefficients over the centered frequency lattice (same lattice).
     fk = _ord_ft(vals) / N**d
     if np.abs(A - np.diag(np.diag(A))).max() < 1e-14:
@@ -314,24 +323,20 @@ def _resample(vals, A, mask_outside=False):
         for i in range(d):
             E = np.exp(1j * np.outer(A[i, i] * ax, ax))  # (t, k)
             out = np.moveaxis(np.tensordot(E, np.moveaxis(out, i, 0), axes=(1, 0)), 0, i)
-        if mask_outside:
-            for i in range(d):
-                t = A[i, i] * ax
-                sl = [slice(None)] * d
-                sl[i] = (t < -L / 2 - 1e-12) | (t >= L / 2 - 1e-12)
-                out[tuple(sl)] = 0.0
-        return out
-    kpts = _lattice_points(N, d)
-    tgt = kpts @ A.T  # (P, d)
-    out = np.empty(tgt.shape[0], complex)
-    fkv = fk.ravel()
-    chunk = max(1, (1 << 22) // kpts.shape[0])
-    for i0 in range(0, tgt.shape[0], chunk):
-        ph = np.exp(1j * (tgt[i0:i0 + chunk] @ kpts.T))
-        out[i0:i0 + chunk] = ph @ fkv
+        out = out.ravel()
+    else:
+        kpts = _lattice_points(N, d)
+        tgt = kpts @ A.T  # (P, d)
+        out = np.empty(tgt.shape[0], complex)
+        fkv = fk.ravel()
+        chunk = max(1, (1 << 22) // kpts.shape[0])
+        for i0 in range(0, tgt.shape[0], chunk):
+            ph = np.exp(1j * (tgt[i0:i0 + chunk] @ kpts.T))
+            out[i0:i0 + chunk] = ph @ fkv
     if mask_outside:
-        inbox = np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)
-        out[~inbox] = 0.0
+        L = N * np.sqrt(2 * np.pi / N)
+        tgt = _lattice_points(N, d) @ A.T
+        out[~np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)] = 0.0
     return out.reshape(vals.shape)
 
 

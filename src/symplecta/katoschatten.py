@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import quantize_T
-from .grid import (GridFunction, _gaussian, _product_points, apply_multiplier,
+from .grid import (GridFunction, PhaseGrid, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
 from .weylrep import _shift_chunks, matrix_coefficient, u_conjugator
 
@@ -74,7 +74,7 @@ def schatten_norm(A, p):
 
 def _cell_reps(ctx):
     """Axis repetition counts of the U-periodicity cell, in fundamental boxes."""
-    Ainv = np.linalg.inv(ctx.phi @ ctx.Sinv)
+    Ainv = np.linalg.inv(ctx.A)
     reps = np.rint(np.diag(Ainv)).astype(int)
     if (np.abs(Ainv - np.diag(np.diag(Ainv))).max() > 1e-9
             or np.abs(np.diag(Ainv) - reps).max() > 1e-9 or np.any(reps < 1)):
@@ -88,11 +88,11 @@ def _accumulate(ctx, pts, bv, G):
     shift groups; the kernel for a coupled phi S^{-1}."""
     live = bv != 0.0
     pts, bv = pts[live], bv[live]
-    F = ctx.config.dft()
+    F = ctx.phase_grid.dft()
     Fh = F.conj().T
     Ghat = F @ G @ Fh
     acc = np.zeros_like(G)
-    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.config, pts, ctx.phi @ ctx.Sinv):
+    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.phase_grid, pts, ctx.A):
         bounds = np.searchsorted(iy, np.arange(len(R) + 1))
         for r, lo, hi in zip(R, bounds[:-1], bounds[1:]):
             X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
@@ -112,22 +112,22 @@ def _contract(arr, mats, axes):
 _CHUNK_ELEMS = 1 << 20
 
 
-def _ambiguity_average(config, a, axes, bv, G):
+def _ambiguity_average(grid, a, axes, bv, G):
     """sum_xi b(xi) U(xi) G U(xi)^* for U(xi) = W_std(diag(a) xi), with the
     density bv sampled on the product of the 2n coordinate axes.
 
     Arrays over (m, d) hold the n axes of m, then the n axes of d.  The sum
     over the leading m axis runs in chunks that bound them.
     """
-    n, N, h = config.n, config.N, config.h
+    n, N, h = grid.n, grid.N, grid.h
     L = 2 * N - 1
     m = np.arange(1 - N, N)
-    F = config.dft()
+    F = grid.dft()
     Ghat = (F @ G @ F.conj().T).reshape((N,) * 2 * n)
     k = m[:, None] + np.arange(N)  # row l + m of diagonal m at column l
     cols = [np.arange(N).reshape([N if s == n + t else 1 for s in range(2 * n)])
             for t in range(n)]
-    Ex = np.exp(1j * np.outer(config.axis, m * h))  # e^{i x_l d h}, also e^{i x_a m h}
+    Ex = np.exp(1j * np.outer(grid.axis, m * h))  # e^{i x_l d h}, also e^{i x_a m h}
     Ey = [np.exp(-1j * np.outer(a[t] * axes[t], m * h)) for t in range(n)]
     Ep = [np.exp(1j * np.outer(a[n + t] * axes[n + t], m * h)) for t in range(n)]
     chunk = max(1, _CHUNK_ELEMS // L ** (2 * n - 1))
@@ -172,10 +172,10 @@ def kato_synthesis(ctx, b, G):
         bv = bv.reshape([len(ax) for ax in axes])
     else:
         raise TypeError("b must be a GridFunction or a callable on phase points")
-    A = ctx.phi @ ctx.Sinv
+    A = ctx.A
     if np.count_nonzero(A - np.diag(np.diag(A))):
         return _accumulate(ctx, _product_points(axes), bv.ravel(), G) * grid.weight
-    return _ambiguity_average(ctx.config, np.diag(A), axes, bv, G) * grid.weight
+    return _ambiguity_average(grid, np.diag(A), axes, bv, G) * grid.weight
 
 
 def kato_identity_residual(ctx, b, c):
@@ -353,11 +353,8 @@ def modulation_schatten_rows(ctx, report, window, count=10, calibrate=True):
 def cordes_rows(ctx, report, t=1.5, calibrate=True):
     """Trace-norm row for the separable decaying symbol class."""
     grid = ctx.phase_grid
-    N = grid.N
-    ax = np.asarray(grid.axis)
-    ja = (1 + ax ** 2) ** (-t / 2)
-    F1 = np.exp(-1j * np.outer(ax, ax)) / np.sqrt(N)
-    f1 = np.real(F1.conj().T @ ja)  # inverse transform of an even symbol
+    ja = (1 + grid.axis ** 2) ** (-t / 2)
+    f1 = np.real(PhaseGrid(1, grid.N).dft().conj().T @ ja)  # inverse transform, even
     g = GridFunction(grid, functools.reduce(np.multiply.outer, [f1] * grid.dim))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
     report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val, calibrate))
@@ -368,7 +365,7 @@ def synthesis_bound_rows(ctx, report, count=20, seed=5):
     """Explicit-constant rows: ||b{G}||_p <= (det S)^{(1/2)(1-1/p)} ||b||_p ||G||_1."""
     grid = ctx.phase_grid
     rng = np.random.default_rng(seed)
-    M = ctx.config.M
+    M = grid.M
     for _ in range(count):
         width = rng.uniform(0.8, 1.6)
         center = rng.uniform(-0.5, 0.5, grid.dim)

@@ -21,67 +21,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, PhaseGrid, _axis, _centred_diagonals, _lattice_points,
-                   _ord_ift)
-from .symplin import (SymplecticSpace, factor_sigma_symmetric, nondegeneracy_gate,
-                      sigma_eval)
+from .cocycle import MultiplierContext
+from .grid import GridFunction, PhaseGrid, _centred_diagonals, _ord_ift
+from .symplin import factor_sigma_symmetric, nondegeneracy_gate, sigma_eval
+
+
+# The configuration lattice is the first n axes of the phase grid.  The old name
+# stays because the benchmark workloads and the package exports build contexts
+# from ConfigGrid(n, N).
+ConfigGrid = PhaseGrid
 
 
 @dataclass(frozen=True)
-class ConfigGrid:
-    """Self-dual grid on the configuration space V = R^n; state dimension M = N^n."""
+class RepContext(MultiplierContext):
+    """A prepared representation: the multiplier data of T (with S = T + T^sigma),
+    the normalizing phi, det S and the phase grid."""
 
-    n: int
-    N: int
-
-    @property
-    def h(self):
-        return np.sqrt(2 * np.pi / self.N)
-
-    @property
-    def M(self):
-        return self.N ** self.n
-
-    @property
-    def axis(self):
-        return _axis(self.N)
-
-    def coords(self):
-        """All M configuration points, shape (M, n); also the frequencies of dft()."""
-        return _lattice_points(self.N, self.n)
-
-    def dft(self):
-        """Centered unitary DFT matrix on C^M (tensor power of the 1-D kernel)."""
-        F1 = np.exp(-1j * np.outer(self.axis, self.axis)) / np.sqrt(self.N)
-        F = F1
-        for _ in range(self.n - 1):
-            F = np.kron(F, F1)
-        return F
-
-
-@dataclass
-class RepContext:
-    """A prepared representation: T, S = T + T^sigma, the normalizing phi, grids."""
-
-    space: SymplecticSpace
-    T: np.ndarray
-    S: np.ndarray
     phi: np.ndarray
     detS: float
-    config: ConfigGrid
     phase_grid: PhaseGrid
 
     @property
     def Sinv(self):
         return np.linalg.inv(self.S)
 
+    @property
+    def A(self):
+        """phi S^{-1}: U(xi) = W_std(A xi)."""
+        return self.phi @ self.Sinv
+
     def lam_values(self, pts):
         """lambda(xi) = e^{-(i/2) sigma(xi, T xi)} on an array of points."""
         return np.exp(-0.5j * sigma_eval(self.space, pts, pts @ self.T.T))
 
 
-def build_rep_context(space, T, config):
+def build_rep_context(space, T, grid):
     """Gate nondegeneracy, factor S, and package the representation data."""
+    if grid.n != space.n:
+        raise ValueError(f"grid has n={grid.n} but the phase space has n={space.n}")
     T = np.asarray(T, dtype=float)
     gate = nondegeneracy_gate(space, T)
     if not gate.nondegenerate:
@@ -93,17 +70,16 @@ def build_rep_context(space, T, config):
         raise ArithmeticError("phi does not normalize the S-twisted form")
     if gate.detS <= 0:
         raise ArithmeticError("det S must be positive for sigma-symmetric invertible S")
-    return RepContext(space=space, T=T, S=gate.S, phi=phi, detS=gate.detS,
-                      config=config, phase_grid=PhaseGrid(space.n, config.N))
+    return RepContext(space=space, T=T, phi=phi, detS=gate.detS, phase_grid=grid)
 
 
-def weyl_standard(config, xi):
+def weyl_standard(grid, xi):
     """The standard Weyl unitary W_std(y, p) for xi = (y, p), y, p in R^n."""
     xi = np.asarray(xi, dtype=float)
-    n = config.n
+    n = grid.n
     y, p = xi[:n], xi[n:]
-    x = config.coords()
-    F = config.dft()
+    x = grid.coords()
+    F = grid.dft()
     shift = F.conj().T @ (np.exp(-1j * (x @ y))[:, None] * F)
     mod = np.exp(1j * ((x - y / 2) @ p))
     return mod[:, None] * shift
@@ -111,14 +87,12 @@ def weyl_standard(config, xi):
 
 def weyl_tilde(ctx, xi):
     """W_tilde(xi) = W_std(phi xi): the normalized (Weyl-relation) system."""
-    return weyl_standard(ctx.config, ctx.phi @ np.asarray(xi, dtype=float))
+    return weyl_standard(ctx.phase_grid, ctx.phi @ np.asarray(xi, dtype=float))
 
 
 def weyl_W(ctx, xi):
     """W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi): the omega-representation."""
-    xi = np.asarray(xi, dtype=float)
-    lam = np.exp(-0.5j * sigma_eval(ctx.space, xi, ctx.T @ xi))
-    return lam * weyl_tilde(ctx, xi)
+    return ctx.lam_values(np.asarray(xi, dtype=float)) * weyl_tilde(ctx, xi)
 
 
 def u_conjugator(ctx, xi):
@@ -131,9 +105,7 @@ def field_generator(ctx, xi, t_step=1e-4):
     if not (0 < t_step <= 1e-3):
         raise ValueError("t_step must lie in (0, 1e-3]")
     xi = np.asarray(xi, dtype=float)
-    Wp = weyl_standard(ctx.config, ctx.phi @ (t_step * xi))
-    Wm = weyl_standard(ctx.config, ctx.phi @ (-t_step * xi))
-    return (Wp - Wm) / (2j * t_step)
+    return (weyl_tilde(ctx, t_step * xi) - weyl_tilde(ctx, -t_step * xi)) / (2j * t_step)
 
 
 def u_conjugator_batch(ctx, pts):
@@ -160,7 +132,7 @@ def _distinct_rows(a):
 _CHUNK_ELEMS = 1 << 22  # element budget of one chunk of _shift_chunks
 
 
-def _shift_chunks(config, pts, A):
+def _shift_chunks(grid, pts, A):
     """Chunks of whole shift groups of the points, for W_std(A xi).
 
     With (y, p) = A xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
@@ -173,8 +145,8 @@ def _shift_chunks(config, pts, A):
     holds at most M shifts, and at most _CHUNK_ELEMS / M points unless all the
     distinct p fit that budget, so its arrays stay within max(_CHUNK_ELEMS, M^2).
     """
-    n, N, M = config.n, config.N, config.M
-    x = config.coords()
+    n, N, M = grid.n, grid.N, grid.M
+    x = grid.coords()
     eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
     ys, iy = _distinct_rows(eta[:, :n])
     ps, ip = _distinct_rows(eta[:, n:])
@@ -204,26 +176,25 @@ def _synthesize(ctx, g_flat):
     the points are the product of their distinct y and p (every n = 1 map,
     block-diagonal phi at n = 2) this costs O(M^3).
     """
-    config = ctx.config
-    G = np.zeros((config.M, config.M), complex)
-    for sel, ip, iy, phase, E, C, _ in _shift_chunks(config, ctx.phase_grid.points(),
-                                                     ctx.phi):
+    grid = ctx.phase_grid
+    G = np.zeros((grid.M, grid.M), complex)
+    for sel, ip, iy, phase, E, C, _ in _shift_chunks(grid, grid.points(), ctx.phi):
         Gm = np.zeros((E.shape[1], C.shape[0]), complex)
         Gm[ip, iy] = g_flat[sel] * phase
         G += E @ (Gm @ C)
-    return _centred_diagonals(G, config.n, config.N)
+    return _centred_diagonals(G, grid.n, grid.N)
 
 
-def _analyze(config, pts, A, B):
+def _analyze(grid, pts, A, B):
     """tr(W_std(A xi)^* B) at every point: the adjoint of the synthesis.
 
     With D the centred diagonals of B, the value at xi is
     (E^* D C^*)[p, y] e^{i<y, p>/2}, so vdot(sum_xi g W_std(A xi), B) equals
-    vdot(g, _analyze(config, pts, A, B)) for every n and A.
+    vdot(g, _analyze(grid, pts, A, B)) for every n and A.
     """
-    D = _centred_diagonals(np.asarray(B, dtype=complex), config.n, config.N)
+    D = _centred_diagonals(np.asarray(B, dtype=complex), grid.n, grid.N)
     out = np.empty(len(pts), complex)
-    for sel, ip, iy, phase, E, C, _ in _shift_chunks(config, pts, A):
+    for sel, ip, iy, phase, E, C, _ in _shift_chunks(grid, pts, A):
         out[sel] = (E.conj().T @ D @ C.conj().T)[ip, iy] * phase.conj()
     return out
 
@@ -234,7 +205,7 @@ def orthogonality_integral(ctx, phi_v, psi_v):
     For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.
     Each coefficient is conj(tr(U(xi)^* phi_v psi_v^*)), U(xi) = W_std(phi S^{-1} xi).
     """
-    vals = _analyze(ctx.config, ctx.phase_grid.points(), ctx.phi @ ctx.Sinv,
+    vals = _analyze(ctx.phase_grid, ctx.phase_grid.points(), ctx.A,
                     np.outer(phi_v, np.conj(psi_v)))
     return float(np.sum(np.abs(vals) ** 2)) * ctx.phase_grid.weight
 
@@ -244,5 +215,5 @@ def matrix_coefficient(ctx, phi_v, psi_v):
     phi_v psi_v^*)) over the whole phase grid; no unitary is materialized."""
     grid = ctx.phase_grid
     pts = grid.points()
-    vals = _analyze(ctx.config, pts, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
+    vals = _analyze(grid, pts, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
     return GridFunction(grid, ctx.lam_values(pts) * np.conj(vals))

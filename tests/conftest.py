@@ -108,7 +108,7 @@ def synth_fast_1d(ctx, g_flat):
     into two dense N x N products: the modulation/shift phases factor as
     outer products in (x, y) and (x, p).
     """
-    config = ctx.config
+    config = ctx.phase_grid
     x = config.axis
     F = config.dft()
     eta = ctx.phase_grid.points() @ ctx.phi.T
@@ -121,12 +121,12 @@ def synth_fast_1d(ctx, g_flat):
 def synth_generic(ctx, g_flat):
     """Reference synthesis for any n: one dense W_std(phi xi) per phase point."""
     pts = ctx.phase_grid.points()
-    M = ctx.config.M
+    M = ctx.phase_grid.M
     out = np.zeros((M, M), complex)
     for gi, xi in zip(g_flat, pts):
         if gi == 0.0:
             continue
-        out += gi * weyl_standard(ctx.config, ctx.phi @ xi)
+        out += gi * weyl_standard(ctx.phase_grid, ctx.phi @ xi)
     return out
 
 

@@ -164,7 +164,7 @@ def test_synthesis_split_into_shift_chunks(monkeypatch):
     # map is summed one shift group at a time (MIXED_T2 at N = 4 above splits
     # its 64 shifts into chunks of M = 16 under the real budget)
     ctx = make_ctx(SUITE_T["general"], N=12)
-    chunks = count_shift_chunks(monkeypatch, 3 * ctx.config.M)
+    chunks = count_shift_chunks(monkeypatch, 3 * ctx.phase_grid.M)
     g = _random_coefficients(ctx)
     _assert_close(_synthesize(ctx, g), synth_fast_1d(ctx, g))
     assert len(chunks) > 1

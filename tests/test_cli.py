@@ -254,3 +254,31 @@ def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "op-synthesis.txt").exists()
+
+
+def test_unknown_tolerance_tag_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tolerances={"thm-n44": 1e-3})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: unknown tolerance tag 'thm-n44'" in capsys.readouterr().err
+    assert not (tmp_path / "report-verify-core.csv").exists()
+
+
+@pytest.mark.parametrize("out", [5, "", "below-a-file"])
+def test_unusable_out_exits_two(tmp_path, capsys, out):
+    (tmp_path / "plain").write_text("not a directory")
+    if out == "below-a-file":
+        out = str(tmp_path / "plain" / "reports")
+    cfg = write_cfg(tmp_path, out=out)
+    assert main(["verify", "--config", cfg]) == 2
+    assert "config error: out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e200, 1e300])
+def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, scale):
+    cfg = write_cfg(tmp_path, T=(scale * np.eye(2)).tolist())
+    with np.errstate(all="ignore"):
+        assert main(["verify", "--suite", "verify-core", "--config", cfg,
+                     "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "FAIL" in captured.out or "verification failure" in captured.err

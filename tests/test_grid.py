@@ -115,6 +115,18 @@ def test_exact_pullback_requires_lattice_map():
         pullback(np.zeros((2, 2)), f)
 
 
+def test_pullback_singularity_test_is_scale_free():
+    g = make_grid(1, 16)
+    f = gaussian(g)
+    # a tiny but well-conditioned map collapses every point onto the origin
+    out = pullback(1e-8 * np.eye(2), f, "resampled")
+    assert np.abs(out.values - f.values[8, 8]).max() < 1e-6
+    with pytest.raises(ValueError, match="singular"):
+        pullback(np.diag([1.0, 1e-12]), f, "resampled")
+    with pytest.raises(ValueError, match="singular"):
+        pullback(np.diag([1.0, np.inf]), f, "resampled")
+
+
 def test_diagonal_resample_matches_dense_evaluation():
     g = make_grid(1, 16)
     f = gaussian(g, 1.2, tilt=0.2)

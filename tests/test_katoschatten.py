@@ -92,7 +92,7 @@ def test_constant_density_gives_scalar_identity(name):
 def test_synthesis_matches_dense_conjugator_sum(T, n, N):
     ctx = make_ctx(T, N=N, n=n)
     g = ctx.phase_grid
-    M = ctx.config.M
+    M = ctx.phase_grid.M
     G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
 
     def dense(pts, bv):
@@ -121,7 +121,7 @@ def test_callable_density_on_the_two_box_cell_of_t_identity(n, N):
     # position axis, summed as extended axes by the ambiguity-domain kernel
     ctx = make_ctx(np.eye(2 * n), N=N, n=n)
     g = ctx.phase_grid
-    M = ctx.config.M
+    M = ctx.phase_grid.M
     reps = _cell_reps(ctx)
     assert list(reps) == [2] * n + [1] * n
     cell = np.concatenate([g.points() + (np.asarray(box) - reps // 2) * g.box_length

@@ -73,9 +73,9 @@ def test_analysis_is_the_adjoint_of_synthesis(case, seed):
     ctx = make_ctx(T, N=N, n=n)
     pts = ctx.phase_grid.points()
     g = random_complex(seed, len(pts))
-    B = random_complex(seed + 1, (ctx.config.M,) * 2)
+    B = random_complex(seed + 1, (ctx.phase_grid.M,) * 2)
     lhs = np.vdot(_synthesize(ctx, g), B)
-    rhs = np.vdot(g, _analyze(ctx.config, pts, ctx.phi, B))
+    rhs = np.vdot(g, _analyze(ctx.phase_grid, pts, ctx.phi, B))
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
@@ -91,7 +91,7 @@ def test_ambiguity_kernel_equals_shift_groups(t, half, seed):
     b = random_complex(seed, (N, N))
     G = random_complex(seed + 1, (N, N))
     want = _accumulate(ctx, ctx.phase_grid.points(), b.ravel(), G)
-    got = _ambiguity_average(ctx.config, np.diag(A), [ctx.config.axis] * 2, b, G)
+    got = _ambiguity_average(ctx.phase_grid, np.diag(A), [ctx.phase_grid.axis] * 2, b, G)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
 

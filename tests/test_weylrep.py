@@ -36,11 +36,16 @@ def test_build_context_rejects_degenerate_multiplier():
         build_rep_context(SP, SP.J, ConfigGrid(1, 16))
 
 
+def test_build_context_rejects_grid_of_another_dimension():
+    with pytest.raises(ValueError, match="n=2.*n=1"):
+        build_rep_context(SP, 0.5 * np.eye(2), ConfigGrid(2, 8))
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_T))
 def test_normalized_system_satisfies_weyl_relation(name):
     ctx = make_ctx(SUITE_T[name], N=16)
     mctx = MultiplierContext(SP, SUITE_T[name])
-    h = ctx.config.h
+    h = ctx.phase_grid.h
     for _ in range(5):
         xi = rng.integers(-4, 5, 2) * h
         eta = rng.integers(-4, 5, 2) * h
@@ -53,7 +58,7 @@ def test_normalized_system_satisfies_weyl_relation(name):
 def test_twisted_system_satisfies_multiplier_relation(name):
     ctx = make_ctx(SUITE_T[name], N=16)
     mctx = MultiplierContext(SP, SUITE_T[name])
-    h = ctx.config.h
+    h = ctx.phase_grid.h
     for _ in range(5):
         xi = rng.integers(-4, 5, 2) * h
         eta = rng.integers(-4, 5, 2) * h
@@ -69,7 +74,7 @@ def test_conjugator_at_origin_is_identity():
 
 def test_conjugator_batch_matches_single():
     ctx = make_ctx(SUITE_T["unit"], N=16)
-    pts = rng.integers(-4, 5, (6, 2)) * ctx.config.h
+    pts = rng.integers(-4, 5, (6, 2)) * ctx.phase_grid.h
     batch = u_conjugator_batch(ctx, pts)
     for k in range(6):
         assert np.abs(batch[k] - u_conjugator(ctx, pts[k])).max() < 1e-10
@@ -113,7 +118,7 @@ def test_matrix_coefficient_with_mixed_shift_block():
 @pytest.mark.parametrize("T,n,N", DENSE_ORACLE_CASES)
 def test_orthogonality_integral_matches_dense_sum(T, n, N):
     ctx = make_ctx(T, N=N, n=n)
-    M = ctx.config.M
+    M = ctx.phase_grid.M
     phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     psi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     U = u_conjugator_batch(ctx, ctx.phase_grid.points())
@@ -125,7 +130,7 @@ def test_orthogonality_integral_matches_dense_sum(T, n, N):
 def test_coefficients_over_many_shift_chunks_match_dense_oracles(monkeypatch):
     # a budget of 2 M elements holds two shifts per chunk
     ctx = make_ctx(MIXED_T2, N=4, n=2)
-    chunks = count_shift_chunks(monkeypatch, 2 * ctx.config.M)
+    chunks = count_shift_chunks(monkeypatch, 2 * ctx.phase_grid.M)
     phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     pts = ctx.phase_grid.points()
