@@ -271,7 +271,7 @@ def apply_multiplier(lam, f):
 
 def _lattice_matrix(A, tol=1e-9):
     Ai = np.rint(A)
-    if np.abs(A - Ai).max() > tol:
+    if np.abs(A - Ai).max() > tol or np.abs(Ai).max() > 2**31:  # no integer index map
         return None
     return Ai.astype(int)
 
@@ -317,7 +317,11 @@ def _resample(vals, A, mask_outside=False):
     ax = _axis(N)
     # Fourier coefficients over the centered frequency lattice (same lattice).
     fk = _ord_ft(vals) / N**d
-    if np.abs(A - np.diag(np.diag(A))).max() < 1e-14:
+    diagonal = np.abs(A - np.diag(np.diag(A))).max() < 1e-14
+    if mask_outside or not diagonal:
+        kpts = _lattice_points(N, d)
+        tgt = kpts @ A.T  # (P, d)
+    if diagonal:
         # diagonal map: separable per-axis interpolation, O(d N^{d+1})
         out = fk
         for i in range(d):
@@ -325,8 +329,6 @@ def _resample(vals, A, mask_outside=False):
             out = np.moveaxis(np.tensordot(E, np.moveaxis(out, i, 0), axes=(1, 0)), 0, i)
         out = out.ravel()
     else:
-        kpts = _lattice_points(N, d)
-        tgt = kpts @ A.T  # (P, d)
         out = np.empty(tgt.shape[0], complex)
         fkv = fk.ravel()
         chunk = max(1, (1 << 22) // kpts.shape[0])
@@ -335,7 +337,6 @@ def _resample(vals, A, mask_outside=False):
             out[i0:i0 + chunk] = ph @ fkv
     if mask_outside:
         L = N * np.sqrt(2 * np.pi / N)
-        tgt = _lattice_points(N, d) @ A.T
         out[~np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)] = 0.0
     return out.reshape(vals.shape)
 

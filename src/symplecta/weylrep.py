@@ -68,8 +68,8 @@ def build_rep_context(space, T, grid):
     phi = factor_sigma_symmetric(space, gate.S)
     if np.abs(phi.T @ space.J @ phi - space.J @ gate.S).max() > 1e-9:
         raise ArithmeticError("phi does not normalize the S-twisted form")
-    if gate.detS <= 0:
-        raise ArithmeticError("det S must be positive for sigma-symmetric invertible S")
+    if not 0 < gate.detS < np.inf:
+        raise ArithmeticError(f"det S = {gate.detS:g} must be positive and finite")
     return RepContext(space=space, T=T, phi=phi, detS=gate.detS, phase_grid=grid)
 
 

@@ -273,12 +273,18 @@ def test_unusable_out_exits_two(tmp_path, capsys, out):
     assert "config error: out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1e200, 1e300])
-def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, scale):
+CORE = ["verify", "--suite", "verify-core"]
+
+
+# S = 2e200*I has no finite det S, so no bound built on it may pass
+@pytest.mark.parametrize("argv, scale", [
+    (CORE, 1e-8), (CORE, 1e200), (CORE, 1e300),
+    (["verify", "--suite", "bounds"], 1e200), (["report"], 1e200)],
+    ids=["1e-08", "1e+200", "1e+300", "bounds-1e+200", "report-1e+200"])
+def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, argv, scale):
     cfg = write_cfg(tmp_path, T=(scale * np.eye(2)).tolist())
     with np.errstate(all="ignore"):
-        assert main(["verify", "--suite", "verify-core", "--config", cfg,
-                     "--out", str(tmp_path)]) == 1
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "FAIL" in captured.out or "verification failure" in captured.err

@@ -106,6 +106,18 @@ def test_truncated_pullback_zeroes_escaping_points():
     assert v[0, 4] == 0.0 and v[7, 4] == 0.0
 
 
+def test_truncated_pullback_along_a_huge_lattice_map_keeps_only_the_origin():
+    # 2e200 is integer-valued but no index type holds it: every point but the
+    # origin leaves the box instead of gathering from an overflowed index
+    g = make_grid(1, 16)
+    f = gaussian(g)
+    with np.errstate(all="raise"):
+        v = pullback(2e200 * np.eye(2), f, "truncated").values.copy()
+    assert abs(v[8, 8] - f.values[8, 8]) < 1e-12
+    v[8, 8] = 0.0
+    assert np.abs(v).max() == 0.0
+
+
 def test_exact_pullback_requires_lattice_map():
     g = make_grid(1, 8)
     f = gaussian(g)
