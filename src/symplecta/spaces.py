@@ -10,6 +10,7 @@ and explicit inequality constants transfer.
 """
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +153,31 @@ class WeightSpec:
 # modulation norms via the sliding frequency window
 # ---------------------------------------------------------------------------
 
-# Elements per chunk of the shift lattice, bounding the working arrays.
-_CHUNK_ELEMS = 1 << 22
+# Elements per chunk of the shift lattice: about 4 MB of complex128, so each
+# worker's working arrays stay near its core's cache.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _run_chunks(body, starts):
+    """Call body(s0) for every chunk start s0.  Each call writes its own rows
+    of the result, so the output is the same for any order and any worker
+    count.  A single chunk, or a single core, runs inline; otherwise the
+    chunks run on a thread pool, since numpy's FFT and ufuncs release the GIL.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(starts))
+    if workers == 1:
+        for s0 in starts:
+            body(s0)
+        return
+    # imported here: it loads logging (about 9 ms), which one-chunk callers skip
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(body, starts):  # re-raises a chunk's exception
+            pass
 
 
 def _stft_lp(uvals, factors, ps):
@@ -166,7 +190,8 @@ def _stft_lp(uvals, factors, ps):
     turn is multiplied by W_a, which adds a shift axis, and inverse-transformed.
     Positions come out cyclically re-indexed and phase-rotated against the
     centered convention, which no L^p norm over positions sees.  The leading
-    shift axis is chunked to bound the last stage's N^{2d-1} elements per row.
+    shift axis is chunked to bound the last stage's N^{2d-1} elements per row,
+    and the chunks run in parallel (_run_chunks).
     p = 2 needs no transform: by Parseval it is the window power applied to
     |uhat|^2 axis by axis.
     """
@@ -189,7 +214,8 @@ def _stft_lp(uvals, factors, ps):
         return out
     out.update({p: np.empty(P) for p in ps})
     chunk = max(1, _CHUNK_ELEMS // (rows * P))
-    for s0 in range(0, N, chunk):
+
+    def body(s0):
         v = uhat[None]
         for ax, W in enumerate(rolled):
             if ax == 0:
@@ -201,6 +227,8 @@ def _stft_lp(uvals, factors, ps):
         v = v.reshape(-1, P)
         for p in ps:
             out[p][s0 * rows:s0 * rows + len(v)] = _lp_rows(v, p, weight)
+
+    _run_chunks(body, range(0, N, chunk))
     return out
 
 
@@ -218,12 +246,21 @@ def _stft_lp_dense(uvals, chivals, ps):
     axes = tuple(range(1, d + 1))
     out = {p: np.empty(P) for p in ps}
     chunk = max(1, _CHUNK_ELEMS // P)
-    for i0 in range(0, P, chunk):
+
+    def body(i0):
         V = slid[tuple(offsets[:, i0:i0 + chunk])] * uhat
         v = np.fft.ifftn(V, axes=axes).reshape(-1, P)
         for p in ps:
             out[p][i0:i0 + len(v)] = _lp_rows(v, p, weight)
+
+    _run_chunks(body, range(0, P, chunk))
     return out
+
+
+def _check_exponent(name, p):
+    """Reject a Lebesgue exponent outside (0, inf], nan included."""
+    if not 0 < p <= np.inf:
+        raise ValueError(f"exponent {name} = {p} is not in (0, inf]")
 
 
 def modulation_norms(u, window, pairs):
@@ -232,6 +269,9 @@ def modulation_norms(u, window, pairs):
     A window with diagonal covariance factors over the axes and takes the
     per-axis kernel; a full covariance takes the dense one.
     """
+    for p, q in pairs:
+        _check_exponent("p", p)
+        _check_exponent("q", q)
     uvals = _values(u)
     d = uvals.ndim
     N = uvals.shape[0]
@@ -322,6 +362,7 @@ def dilation_ratio(u, lam, p, q, window=None):
 
 def sobolev_k_norm(u, k, p):
     """||k(D) u||_{L^p}: ordinary Fourier multiplier by the weight, then L^p."""
+    _check_exponent("p", p)
     uvals = _values(u)
     d = uvals.ndim
     N = uvals.shape[0]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ MIXED_T2 = 0.5 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 
 DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
                       + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
                          pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
+
+
+def set_workers(monkeypatch, k):
+    """Make the modulation-norm chunk runner see k cores in this process's
+    affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                        raising=False)
 
 
 def make_ctx(T, N=32, n=1):

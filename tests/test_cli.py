@@ -8,6 +8,8 @@ from symplecta.calculus import read_operator
 from symplecta.cli import main
 from symplecta.grid import GridFunction, make_grid, write_grid_function
 
+from conftest import set_workers
+
 
 def write_cfg(tmp_path, name="cfg.json", **kw):
     path = tmp_path / name
@@ -35,6 +37,20 @@ def test_verify_runs_are_deterministic(tmp_path):
             == (d2 / "report-verify-core.csv").read_bytes())
     assert ((d1 / "report-verify-core.json").read_bytes()
             == (d2 / "report-verify-core.json").read_bytes())
+
+
+@pytest.mark.parametrize("suite", ["norms", "bounds"])
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, suite):
+    # bounds takes d = 2 modulation norms, which run in several chunks at N = 32
+    reports = []
+    for k in (1, 2):
+        set_workers(monkeypatch, k)
+        out = tmp_path / str(k)
+        cfg = write_cfg(tmp_path, N=32, suite=suite, out=str(out))
+        assert main(["verify", "--config", cfg, "--json"]) == 0
+        reports.append([(out / f"report-{suite}.{ext}").read_bytes()
+                        for ext in ("csv", "json")])
+    assert reports[0] == reports[1]
 
 
 def test_verify_kato_suite_passes(tmp_path, capsys):

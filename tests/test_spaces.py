@@ -1,13 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
-from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _stft_lp,
-                              _window_factors, chirp_TA, dilation_ratio,
-                              embedding_bound, modulation_norm, modulation_norms,
-                              sobolev_k_norm, symbol_class_seminorms,
+from symplecta import spaces
+from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
+                              _stft_lp, _stft_lp_dense, _window_factors, chirp_TA,
+                              dilation_ratio, embedding_bound, modulation_norm,
+                              modulation_norms, sobolev_k_norm, symbol_class_seminorms,
                               trig_resample, window_values)
 
-from conftest import dense_modulation_norms, dense_stft_lp
+from conftest import dense_modulation_norms, dense_stft_lp, set_workers
 
 rng = np.random.default_rng(61)
 H = lambda N: np.sqrt(2 * np.pi / N)
@@ -125,7 +128,7 @@ def test_stft_chunk_boundaries_match_dense_oracle_at_n128():
     # would hold N^4 complex values (4 GB), so the rows on either side of the
     # chunk boundaries are checked against the oracle instead
     N, ps = 128, [1]
-    chunk = _CHUNK_ELEMS // N ** 3
+    chunk = max(1, _CHUNK_ELEMS // N ** 3)
     assert 1 <= chunk < N
     u = oracle_input(N, 2)
     got = _stft_lp(u, _window_factors(WindowSpec(), 2, N), ps)
@@ -134,6 +137,71 @@ def test_stft_chunk_boundaries_match_dense_oracle_at_n128():
     want = dense_stft_lp(u, window_values(WindowSpec(), 2, N), ps, shifts)
     for p in ps:
         assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
+
+
+def test_stft_is_identical_for_one_and_two_workers(monkeypatch):
+    # N = 40, d = 2 runs in ten chunks of four shifts
+    N, ps = 40, [1, 3, np.inf]
+    u = oracle_input(N, 2)
+    factors = _window_factors(WindowSpec(), 2, N)
+    got = {}
+    for k in (1, 2):
+        set_workers(monkeypatch, k)
+        got[k] = _stft_lp(u, factors, ps)
+    for p in ps:
+        assert np.array_equal(got[1][p], got[2][p]), p
+
+
+def test_dense_stft_is_identical_for_one_and_two_workers(monkeypatch):
+    # a smaller chunk budget splits the 256 shifts of N = 16, d = 2 into 16 chunks
+    N, ps = 16, [1, 2, 3, np.inf]
+    monkeypatch.setattr(spaces, "_CHUNK_ELEMS", 1 << 12)
+    u = oracle_input(N, 2)
+    chi = window_values(WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9)), 2, N)
+    got = {}
+    for k in (1, 2):
+        set_workers(monkeypatch, k)
+        got[k] = _stft_lp_dense(u, chi, ps)
+    for p in ps:
+        assert np.array_equal(got[1][p], got[2][p]), p
+
+
+def test_chunk_runner_uses_the_pool_and_reraises(monkeypatch):
+    set_workers(monkeypatch, 2)
+    seen = []
+
+    def body(s0):
+        seen.append((s0, threading.get_ident()))
+
+    _run_chunks(body, range(0, 12, 3))
+    assert sorted(s0 for s0, _ in seen) == [0, 3, 6, 9]
+    assert threading.get_ident() not in {t for _, t in seen}
+
+    def failing(s0):
+        if s0 == 6:
+            raise FloatingPointError(f"chunk {s0}")
+
+    with pytest.raises(FloatingPointError, match="chunk 6"):
+        _run_chunks(failing, range(0, 12, 3))
+
+
+BAD_EXPONENTS = [(0, 1), (1, 0), (-1, 1), (1, -2), (np.nan, 1), (1, np.nan)]
+
+
+@pytest.mark.parametrize("p, q", BAD_EXPONENTS)
+def test_modulation_norms_reject_exponents_outside_zero_inf(p, q):
+    bad = "p" if not 0 < p <= np.inf else "q"
+    u = gauss1d(16)
+    with pytest.raises(ValueError, match=f"exponent {bad} ="):
+        modulation_norms(u, WindowSpec(), [(1, 1), (p, q)])
+    with pytest.raises(ValueError, match=f"exponent {bad} ="):
+        modulation_norm(u, WindowSpec(), p, q)
+
+
+@pytest.mark.parametrize("p", [0, -1, np.nan])
+def test_sobolev_norm_rejects_exponents_outside_zero_inf(p):
+    with pytest.raises(ValueError, match="exponent p ="):
+        sobolev_k_norm(gauss1d(16), WeightSpec(((1, 2.0),)), p)
 
 
 def test_m22_proportional_to_l2():
