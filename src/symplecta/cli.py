@@ -21,7 +21,8 @@ import numpy as np
 
 from .calculus import (quantize_T, quantize_theta_tau_kernel, quantize_weyl,
                        lambda_transform, write_operator)
-from .cocycle import MultiplierContext, cocycle_residual, coboundary_residual, omega
+from .cocycle import (MultiplierContext, cocycle_residual, coboundary_residual, omega,
+                      omega_tilde)
 from .grid import (GridFunction, _axis, _gaussian, _ord_ft, make_grid, sample_symbol,
                    symplectic_fourier, SymbolSpec)
 from .katoschatten import (bound_suite, kato_identity_residual, kato_synthesis,
@@ -227,7 +228,6 @@ def _suite_verify_core(cfg, report, rng):
         worst_cocycle = max(worst_cocycle, cocycle_residual(ctx, triples))
         pairs = [tuple(rng.standard_normal((2, d))) for _ in range(100)]
         worst_cob = max(worst_cob, coboundary_residual(ctx, pairs))
-        from .cocycle import omega_tilde
         for xi in rng.standard_normal((50, d)):
             worst_norm = max(worst_norm, abs(omega_tilde(ctx, xi, -xi) - 1.0))
     _check(report, cfg, "sec3-cocycle", worst_cocycle)

@@ -153,9 +153,9 @@ class WeightSpec:
 # modulation norms via the sliding frequency window
 # ---------------------------------------------------------------------------
 
-# Elements per chunk of the shift lattice: about 4 MB of complex128, so each
-# worker's working arrays stay near its core's cache.
-_CHUNK_ELEMS = 1 << 18
+# Elements per array of a chunk of the shift lattice: 1 MB of complex128, so
+# a chunk's working arrays fit a 2 MB per-core L2 cache.
+_CHUNK_ELEMS = 1 << 16
 
 
 def _run_chunks(body, starts):
@@ -189,9 +189,12 @@ def _stft_lp(uvals, factors, ps):
     the Gaussian family): W_a[s, i] = chi_a[(i - s + N/2) mod N].  Each axis in
     turn is multiplied by W_a, which adds a shift axis, and inverse-transformed.
     Positions come out cyclically re-indexed and phase-rotated against the
-    centered convention, which no L^p norm over positions sees.  The leading
-    shift axis is chunked to bound the last stage's N^{2d-1} elements per row,
-    and the chunks run in parallel (_run_chunks).
+    centered convention, which no L^p norm over positions sees.  No array
+    holds more than max(_CHUNK_ELEMS, N^d) elements: stage a runs over
+    sub-ranges of shift axis a, each of as many shifts as leave room for the
+    later stages whole, and at least one.  The sub-ranges of the leading axis
+    are the chunks that run in parallel (_run_chunks); each writes its own
+    block of shifts.
     p = 2 needs no transform: by Parseval it is the window power applied to
     |uhat|^2 axis by axis.
     """
@@ -200,7 +203,6 @@ def _stft_lp(uvals, factors, ps):
     P = N ** d
     weight = _spacing(uvals) ** d
     uhat = _ord_ft(uvals)
-    rows = P // N
     idx = np.arange(N)
     rolled = [f[_centred_roll(idx[None, :], idx[:, None], N)] for f in factors]
     out = {}
@@ -213,22 +215,31 @@ def _stft_lp(uvals, factors, ps):
     if not ps:
         return out
     out.update({p: np.empty(P) for p in ps})
-    chunk = max(1, _CHUNK_ELEMS // (rows * P))
 
-    def body(s0):
-        v = uhat[None]
-        for ax, W in enumerate(rolled):
-            if ax == 0:
-                W = W[s0:s0 + chunk]
-            shape = (1, len(W)) + (1,) * ax + (N,) + (1,) * (d - ax - 1)
-            v = v[:, None] * W.reshape(shape)
-            np.fft.ifft(v, axis=ax + 2, out=v)
-            v = v.reshape((-1,) + (N,) * d)
+    def span(ax, rows):
+        """Shifts per sub-range of axis ax below `rows` rows of earlier shifts."""
+        return min(N, max(1, _CHUNK_ELEMS // (rows * N ** (d - 1 - ax) * P)))
+
+    def stage(v, ax, t0, block):
+        """Multiply v by the windows of shifts t0.. on axis ax, which adds a
+        shift axis, and inverse-transform; then run the later stages, or
+        reduce the rows into the block of shifts they belong to."""
+        W = rolled[ax][t0:t0 + span(ax, len(v))]
+        block += (slice(t0, t0 + len(W)),)
+        shape = (1, len(W)) + (1,) * ax + (N,) + (1,) * (d - ax - 1)
+        v = v[:, None] * W.reshape(shape)
+        np.fft.ifft(v, axis=ax + 2, out=v)
+        v = v.reshape((-1,) + (N,) * d)
+        if ax + 1 < d:
+            for t in range(0, N, span(ax + 1, len(v))):
+                stage(v, ax + 1, t, block)
+            return
+        sizes = tuple(b.stop - b.start for b in block)
         v = v.reshape(-1, P)
         for p in ps:
-            out[p][s0 * rows:s0 * rows + len(v)] = _lp_rows(v, p, weight)
+            out[p].reshape((N,) * d)[block] = _lp_rows(v, p, weight).reshape(sizes)
 
-    _run_chunks(body, range(0, N, chunk))
+    _run_chunks(lambda s0: stage(uhat[None], 0, s0, ()), range(0, N, span(0, 1)))
     return out
 
 
@@ -401,6 +412,7 @@ def embedding_bound(k, window, q, N, d=None):
     norm taken as a lattice sum.  C_alpha = sup |d^alpha k| / k on the lattice
     interior.  Requires 1/k in L^q: q t_j > n_j on every weight block.
     """
+    _check_exponent("q", q)
     d = k.dim if d is None else d
     if k.dim != d:
         raise ValueError("weight dimension mismatch")

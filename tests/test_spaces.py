@@ -139,8 +139,55 @@ def test_stft_chunk_boundaries_match_dense_oracle_at_n128():
         assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
 
 
+def test_stft_sub_range_boundaries_match_dense_oracle_at_n128():
+    # one leading shift of N = 128, d = 2 is N^3 values, above the budget, so
+    # the last stage runs over sub-ranges of the last shift axis; the shifts
+    # on either side of a sub-range boundary are checked against the oracle
+    N, ps = 128, [1]
+    sub = min(N, max(1, _CHUNK_ELEMS // N ** 2))
+    assert 1 <= sub < N
+    u = oracle_input(N, 2)
+    got = _stft_lp(u, _window_factors(WindowSpec(), 2, N), ps)
+    shifts = [s0 * N + t for s0 in (0, 1, N - 1) for t in (0, sub - 1, sub, N - 1)]
+    want = dense_stft_lp(u, window_values(WindowSpec(), 2, N), ps, shifts)
+    for p in ps:
+        assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
+
+
+@pytest.mark.parametrize("d, N", [(1, 40), (2, 40), (2, 64), (3, 8)])
+def test_stft_is_identical_for_any_chunk_budget(monkeypatch, d, N):
+    # each value comes from the same multiply, row FFT and row reduction
+    # however the shifts are cut into chunks and sub-ranges
+    ps = [1, 3, np.inf]
+    u = oracle_input(N, d)
+    factors = _window_factors(WindowSpec(), d, N)
+    got = {}
+    for budget in (1 << 10, 1 << 16, 1 << 22):
+        monkeypatch.setattr(spaces, "_CHUNK_ELEMS", budget)
+        got[budget] = _stft_lp(u, factors, ps)
+    for p in ps:
+        assert np.array_equal(got[1 << 10][p], got[1 << 16][p]), p
+        assert np.array_equal(got[1 << 22][p], got[1 << 16][p]), p
+
+
+def test_stft_keeps_every_transform_within_the_chunk_budget(monkeypatch):
+    # N = 64, d = 2: one row of N^2 = 4096 values fits a budget of 1 << 12,
+    # so no array handed to the inverse FFT may be larger
+    N, budget = 64, 1 << 12
+    monkeypatch.setattr(spaces, "_CHUNK_ELEMS", budget)
+    sizes, ifft = [], np.fft.ifft
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.size)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    _stft_lp(oracle_input(N, 2), _window_factors(WindowSpec(), 2, N), [1])
+    assert sizes and max(sizes) <= budget
+
+
 def test_stft_is_identical_for_one_and_two_workers(monkeypatch):
-    # N = 40, d = 2 runs in ten chunks of four shifts
+    # N = 40, d = 2 runs in forty chunks of one leading shift each
     N, ps = 40, [1, 3, np.inf]
     u = oracle_input(N, 2)
     factors = _window_factors(WindowSpec(), 2, N)
@@ -272,6 +319,12 @@ def test_embedding_bound_dominates_modulation_norm():
 def test_embedding_precondition_rejects_non_integrable_weight():
     with pytest.raises(ValueError, match="block"):
         embedding_bound(WeightSpec(((1, 0.5),)), WindowSpec(), 1, 32)
+
+
+@pytest.mark.parametrize("q", [np.nan, 0, -1])
+def test_embedding_bound_rejects_exponents_outside_zero_inf(q):
+    with pytest.raises(ValueError, match="exponent q ="):
+        embedding_bound(WeightSpec(((1, 2.0),)), WindowSpec(), q, 16)
 
 
 def test_dilation_identity_and_validation():
