@@ -147,8 +147,9 @@ def load_config(args):
         if tag not in TOLERANCES:
             raise ConfigError(f"unknown tolerance tag {tag!r}; known tags are "
                               f"{sorted(TOLERANCES)}")
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-            raise ConfigError(f"tolerances[{tag!r}] must be a positive number, "
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not 0 < val < np.inf):
+            raise ConfigError(f"tolerances[{tag!r}] must be a finite positive number, "
                               f"got {val!r}")
     return cfg
 
@@ -368,7 +369,10 @@ def _suite_norms(cfg, report, rng):
                    res["measured"], const * res["bound_shape"])
     # embedding bound on the line
     k = WeightSpec(((1, 2.0),))
-    bound = embedding_bound(k, window, 1, N, d=1)
+    try:
+        bound = embedding_bound(k, window, 1, N, d=1)
+    except ValueError as exc:  # no lattice interior for the finite differences
+        raise ConfigError(f"N must be at least 8 for the norms suite, got {N}: {exc}")
     x = _axis(N)
     for i in range(20):
         width = 0.7 + 0.08 * i

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplin import _RANK_RTOL, SymplecticSpace, sigma_eval
+from .symplin import SymplecticSpace, _singular, sigma_eval
 
 
 def _axis(N):
@@ -79,6 +79,19 @@ def _covariance_matrix(covariance, d):
     if np.linalg.cond(cov) > 1e8:
         raise ValueError("ill-conditioned covariance")
     return cov
+
+
+def _spec_params(spec, d):
+    """(center, covariance, Hermite indices) of a symbol or window spec on d
+    axes, empty fields taking their defaults; ValueError when they do not fit."""
+    center = np.zeros(d) if len(spec.center) == 0 else np.asarray(spec.center, float)
+    if center.shape != (d,):
+        raise ValueError(f"center must have {d} entries, got {len(spec.center)}")
+    hermite = (spec.hermite_index or (1,) * d) if spec.kind == "hermite-gaussian" else ()
+    if len(hermite) > d:
+        raise ValueError(f"hermite_index must have at most {d} entries, "
+                         f"got {len(hermite)}")
+    return center, _covariance_matrix(spec.covariance, d), hermite
 
 
 def _gauss_hermite(z, cov, hermite):
@@ -199,10 +212,6 @@ def make_grid(n, N):
 
 def sample_symbol(spec, grid):
     """Pointwise evaluation of a SymbolSpec on the grid."""
-    d = grid.dim
-    pts = grid.points()
-    center = np.zeros(d) if len(spec.center) == 0 else np.asarray(spec.center, float)
-    z = pts - center
     if spec.kind == "file":
         f = read_grid_function(spec.path)
         if f.grid != grid:
@@ -212,8 +221,9 @@ def sample_symbol(spec, grid):
     if spec.kind not in ("gaussian", "hermite-gaussian", "polynomial-times-gaussian",
                          "chirp-gaussian"):
         raise ValueError(f"unknown symbol kind {spec.kind!r}")
-    hermite = (spec.hermite_index or (1,) * d) if spec.kind == "hermite-gaussian" else ()
-    cov = _covariance_matrix(spec.covariance, d)
+    d = grid.dim
+    center, cov, hermite = _spec_params(spec, d)
+    z = grid.points() - center
     vals = _gauss_hermite(z, cov, hermite).astype(complex)
     if spec.kind == "polynomial-times-gaussian":
         coeffs = spec.poly_coeffs if spec.poly_coeffs else (0.0,)
@@ -289,8 +299,7 @@ def pullback(A, f, mode="exact"):
     """
     A = np.asarray(A, dtype=float)
     grid = f.grid
-    svals = np.linalg.svd(A, compute_uv=False) if np.isfinite(A).all() else [0.0]
-    if not svals[-1] > _RANK_RTOL * svals[0]:
+    if _singular(A):
         raise ValueError("singular pullback map")
     N = grid.N
     Ai = _lattice_matrix(A) if mode in ("exact", "truncated") else None

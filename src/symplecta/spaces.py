@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, _axis, _centred_roll, _covariance_matrix,
-                   _gauss_hermite, _lattice_points, _ord_ft, _ord_ift, _resample)
+from .grid import (GridFunction, _axis, _centred_roll, _gauss_hermite, _lattice_points,
+                   _ord_ft, _ord_ift, _resample, _spec_params)
+from .symplin import _singular
 
 
 def _values(u):
@@ -68,16 +69,9 @@ class WindowSpec:
             raise ValueError("window kind must be gaussian or hermite-gaussian")
 
 
-def _window_params(window, d):
-    center = np.zeros(d) if len(window.center) == 0 else np.asarray(window.center, float)
-    hermite = ((window.hermite_index or (1,) * d) if window.kind == "hermite-gaussian"
-               else ())
-    return center, _covariance_matrix(window.covariance, d), hermite
-
-
 def window_values(window, d, N):
     """Evaluate a WindowSpec on the centered d-dimensional lattice."""
-    center, cov, hermite = _window_params(window, d)
+    center, cov, hermite = _spec_params(window, d)
     out = _gauss_hermite(_lattice_points(N, d) - center, cov, hermite).reshape((N,) * d)
     if np.abs(out).max() == 0.0:
         raise ValueError("window vanishes identically on the lattice")
@@ -86,10 +80,10 @@ def window_values(window, d, N):
 
 def _window_factors(window, d, N):
     """The 1-D factors chi_a on the centered axis with chi = chi_0 x ... x
-    chi_{d-1}, or None when the covariance is not diagonal."""
-    center, cov, hermite = _window_params(window, d)
+    chi_{d-1}; ValueError unless the covariance is diagonal."""
+    center, cov, hermite = _spec_params(window, d)
     if np.count_nonzero(cov - np.diag(np.diag(cov))):
-        return None
+        raise ValueError("window covariance must be diagonal")
     factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],
                                        cov[ax:ax + 1, ax:ax + 1], hermite[ax:ax + 1])
                         for ax in range(d)])
@@ -243,31 +237,6 @@ def _stft_lp(uvals, factors, ps):
     return out
 
 
-def _stft_lp_dense(uvals, chivals, ps):
-    """_stft_lp for a sampled window that need not factor, in chunks of
-    shifts; each rolled window is a view into the periodically doubled window."""
-    d = uvals.ndim
-    N = uvals.shape[0]
-    P = N ** d
-    weight = _spacing(uvals) ** d
-    uhat = _ord_ft(uvals)
-    slid = np.lib.stride_tricks.sliding_window_view(np.tile(chivals, (2,) * d),
-                                                    (N,) * d)
-    offsets = _centred_roll(0, np.indices((N,) * d).reshape(d, -1), N)
-    axes = tuple(range(1, d + 1))
-    out = {p: np.empty(P) for p in ps}
-    chunk = max(1, _CHUNK_ELEMS // P)
-
-    def body(i0):
-        V = slid[tuple(offsets[:, i0:i0 + chunk])] * uhat
-        v = np.fft.ifftn(V, axes=axes).reshape(-1, P)
-        for p in ps:
-            out[p][i0:i0 + len(v)] = _lp_rows(v, p, weight)
-
-    _run_chunks(body, range(0, P, chunk))
-    return out
-
-
 def _check_exponent(name, p):
     """Reject a Lebesgue exponent outside (0, inf], nan included."""
     if not 0 < p <= np.inf:
@@ -277,8 +246,8 @@ def _check_exponent(name, p):
 def modulation_norms(u, window, pairs):
     """Modulation norms for several (p, q) pairs sharing one analysis pass.
 
-    A window with diagonal covariance factors over the axes and takes the
-    per-axis kernel; a full covariance takes the dense one.
+    The window must have a diagonal covariance, so that it factors over the
+    axes; any one window gives an equivalent norm.
     """
     for p, q in pairs:
         _check_exponent("p", p)
@@ -288,11 +257,7 @@ def modulation_norms(u, window, pairs):
     N = uvals.shape[0]
     h = _spacing(uvals)
     ps = sorted({p for p, _ in pairs}, key=float)
-    factors = _window_factors(window, d, N)
-    if factors is None:
-        slices = _stft_lp_dense(uvals, window_values(window, d, N), ps)
-    else:
-        slices = _stft_lp(uvals, factors, ps)
+    slices = _stft_lp(uvals, _window_factors(window, d, N), ps)
     return {(p, q): float(_lp_rows(slices[p][None], q, h ** d)[0])
             for p, q in pairs}
 
@@ -315,7 +280,7 @@ def chirp_TA(A, u):
         raise ValueError("A must be square")
     if np.abs(A - A.T).max() > 1e-12:
         raise ValueError("A must be symmetric")
-    if abs(np.linalg.det(A)) < 1e-12:
+    if _singular(A):
         raise ValueError("A must be invertible")
     vals = _values(u)
     m = A.shape[0]
@@ -351,7 +316,7 @@ def dilation_ratio(u, lam, p, q, window=None):
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0:
         lam = float(lam) * np.eye(d)
-    if abs(np.linalg.det(lam)) < 1e-12:
+    if _singular(lam):
         raise ValueError("singular dilation matrix")
     if window is None:
         window = WindowSpec()
@@ -385,11 +350,24 @@ def sobolev_k_norm(u, k, p):
     return float(_lp_rows(out.reshape(1, -1), p, h ** d)[0])
 
 
-def _multi_indices(d, max_total):
-    for total in range(max_total + 1):
+def _fd_derivatives(vals, h, max_order, margin):
+    """(alpha, core, d^alpha vals[core]) for |alpha| <= max_order in ascending
+    order, by repeated centered differences (np.gradient); the core lies
+    `margin` points inside every face, out of reach of the one-sided boundary
+    differences.  ValueError when the core is empty."""
+    N, d = vals.shape[0], vals.ndim
+    if N <= 2 * margin:
+        raise ValueError(f"N = {N} leaves no lattice interior inside a "
+                         f"finite-difference margin of {margin}")
+    core = (slice(margin, N - margin),) * d
+    for total in range(max_order + 1):
         for alpha in itertools.product(range(total + 1), repeat=d):
             if sum(alpha) == total:
-                yield alpha
+                da = vals
+                for axis_no, order in enumerate(alpha):
+                    for _ in range(order):
+                        da = np.gradient(da, h, axis=axis_no)
+                yield alpha, core, da[core]
 
 
 def _spectral_derivative(vals, alpha):
@@ -429,15 +407,9 @@ def embedding_bound(k, window, q, N, d=None):
     chiv = window_values(window, d, N)
     kgrid = k.values(pts).reshape((N,) * d).astype(float)
     Mk = k.majorant(pts).reshape((N,) * d)
-    margin = 3
-    core = tuple(slice(margin, N - margin) for _ in range(d))
     total = 0.0
-    for alpha in _multi_indices(d, 2 * r):
-        dk = kgrid
-        for axis_no, order in enumerate(alpha):
-            for _ in range(order):
-                dk = np.gradient(dk, h, axis=axis_no)
-        C_alpha = float(np.max(np.abs(dk[core]) / kgrid[core]))
+    for alpha, core, dk in _fd_derivatives(kgrid, h, 2 * r, margin=3):
+        C_alpha = float(np.max(np.abs(dk) / kgrid[core]))
         dchi = _spectral_derivative(chiv, alpha)
         total += C_alpha * float(np.sum(Mk * np.abs(dchi)) * h ** d)
     return (2 * np.pi) ** (-d) * bracket * total * inv_k_q
@@ -453,19 +425,8 @@ def symbol_class_seminorms(a, m, max_order):
     if max_order > 4:
         raise ValueError("finite differences degrade beyond order 4")
     vals = _values(a)
-    d = vals.ndim
-    N = vals.shape[0]
     h = _spacing(vals)
-    pts = _lattice_points(N, d)
+    pts = _lattice_points(vals.shape[0], vals.ndim)
     jap = (1 + (pts ** 2).sum(1)).reshape(vals.shape) ** 0.5
-    margin = max_order + 2
-    core = tuple(slice(margin, N - margin) for _ in range(d))
-    out = []
-    for alpha in _multi_indices(d, max_order):
-        da = vals
-        for axis_no, order in enumerate(alpha):
-            for _ in range(order):
-                da = np.gradient(da, h, axis=axis_no)
-        wt = jap ** (-m + sum(alpha))
-        out.append(float(np.max(wt[core] * np.abs(da[core]))))
-    return out
+    return [float(np.max(jap[core] ** (-m + sum(alpha)) * np.abs(da)))
+            for alpha, core, da in _fd_derivatives(vals, h, max_order, max_order + 2)]

@@ -16,6 +16,16 @@ import numpy as np
 _RANK_RTOL = 1e-10
 
 
+def _singular(A):
+    """True when A has a non-finite entry or its smallest singular value is at
+    most _RANK_RTOL times its largest: a scale-free rank test."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        return True
+    svals = np.linalg.svd(A, compute_uv=False)
+    return not svals[-1] > _RANK_RTOL * svals[0]
+
+
 def _default_J(n):
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -np.eye(n)
@@ -183,8 +193,7 @@ def factor_sigma_symmetric(space, S):
     Ssig = symplectic_adjoint(space, S)
     if np.abs(S - Ssig).max() > 1e-10:
         raise ValueError("S is not sigma-symmetric")
-    svals = np.linalg.svd(S, compute_uv=False)
-    if svals[-1] <= _RANK_RTOL * svals[0]:
+    if _singular(S):
         raise ValueError("S is singular")
     B = symplectic_basis(space, space.J @ S)
     phi = np.linalg.inv(B)

@@ -197,6 +197,18 @@ def test_non_numeric_tolerance_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report-verify-core.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "0", "-1e-3"])
+def test_tolerance_that_is_not_finite_and_positive_exits_two(tmp_path, capsys, bad):
+    # with T = I at N = 16, thm-n4 reads about 1e-2: an infinite bound would pass it
+    path = tmp_path / "cfg.json"
+    path.write_text('{"N": 16, "T": [[1, 0], [0, 1]], "tolerances": {"thm-n4": %s}}'
+                    % bad)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert ("config error: tolerances['thm-n4'] must be a finite positive number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "report-verify-core.csv").exists()
+
+
 def test_missing_symbol_file_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, N=16, symbol={"kind": "file",
                                             "path": str(tmp_path / "none.sgrid")})
@@ -221,6 +233,19 @@ def test_bounds_and_report_run_at_n2(tmp_path, capsys, command):
     argv = (["verify", "--suite", "bounds"] if command == "bounds" else ["report"])
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("argv", [["verify", "--suite", "norms"], ["report"]],
+                         ids=["norms", "report"])
+def test_norms_below_n8_exits_two(tmp_path, capsys, argv, N):
+    # the embedding bound's finite differences stay 3 points inside the lattice
+    cfg = write_cfg(tmp_path, N=N)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: N must be at least 8 for the norms suite, got {N}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("report-*.csv"))
 
 
 def test_verify_kato_at_n2_exits_two(tmp_path, capsys):
@@ -264,7 +289,10 @@ def test_non_finite_T_exits_two(tmp_path, capsys, bad):
     ({"kind": "polynomial-times-gaussian", "poly_coeffs": ["a", "b"]}, "symbol.poly_coeffs"),
     ({"kind": "hermite-gaussian", "hermite_index": [1.5, 1]}, "symbol.hermite_index"),
     ({"kind": ["gaussian"]}, "symbol.kind"),
-    ({"kind": "file", "path": 5}, "symbol.path")])
+    ({"kind": "file", "path": 5}, "symbol.path"),
+    ({"kind": "hermite-gaussian", "hermite_index": [1, 1, 1]},
+     "symbol: hermite_index must have at most 2 entries"),
+    ({"center": [0.5]}, "symbol: center must have 2 entries")])
 def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     cfg = write_cfg(tmp_path, N=16, symbol=symbol)
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import gaussian
-from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, apply_multiplier,
-                            make_grid, pullback, read_grid_function, sample_symbol,
+from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, _spec_params,
+                            apply_multiplier, make_grid, pullback, read_grid_function, sample_symbol,
                             sigma_convolve, symplectic_fourier, translate,
                             write_grid_function)
 
@@ -217,3 +217,17 @@ def test_grid_file_rejects_foreign_header(tmp_path):
     path.write_text("something else\n1,2\n")
     with pytest.raises(ValueError):
         read_grid_function(path)
+
+
+def test_spec_params_defaults_and_validation():
+    center, cov, hermite = _spec_params(SymbolSpec(kind="gaussian"), 2)
+    assert np.array_equal(center, np.zeros(2)) and np.array_equal(cov, np.eye(2))
+    assert hermite == ()
+    center, cov, hermite = _spec_params(
+        SymbolSpec(kind="hermite-gaussian", center=(0.5, -0.5), covariance=(2.0, 0.5)), 2)
+    assert np.array_equal(center, [0.5, -0.5])
+    assert np.array_equal(cov, np.diag([4.0, 0.25])) and hermite == (1, 1)
+    with pytest.raises(ValueError, match="center must have 2 entries"):
+        _spec_params(SymbolSpec(kind="gaussian", center=(0.5,)), 2)
+    with pytest.raises(ValueError, match="hermite_index must have at most 2 entries"):
+        _spec_params(SymbolSpec(kind="hermite-gaussian", hermite_index=(1, 1, 1)), 2)

@@ -5,7 +5,7 @@ import pytest
 
 from symplecta import spaces
 from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
-                              _stft_lp, _stft_lp_dense, _window_factors, chirp_TA,
+                              _fd_derivatives, _stft_lp, _window_factors, chirp_TA,
                               dilation_ratio, embedding_bound, modulation_norm,
                               modulation_norms, sobolev_k_norm, symbol_class_seminorms,
                               trig_resample, window_values)
@@ -74,8 +74,8 @@ def test_stft_matches_dense_oracle():
     assert abs(got - want) / want < 1e-10
 
 
-# (d, window) cases for the dense oracle; a 1 x 1 covariance is always diagonal,
-# so the full-covariance (non-factoring) window exists only for d >= 2
+# (d, window) cases for the dense oracle; modulation_norms takes product
+# windows only, so every covariance is diagonal
 ORACLE_WINDOWS = [
     pytest.param(1, WindowSpec(), id="d1-default"),
     pytest.param(1, WindowSpec(center=(0.4,), covariance=(1.3,)), id="d1-off-centre"),
@@ -86,8 +86,6 @@ ORACLE_WINDOWS = [
                  id="d2-off-centre"),
     pytest.param(2, WindowSpec(kind="hermite-gaussian", hermite_index=(1, 2)),
                  id="d2-hermite"),
-    pytest.param(2, WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9)),
-                 id="d2-full-covariance"),
 ]
 ORACLE_PAIRS = [(p, q) for p in (1, 2, 3, np.inf) for q in (1, 2, np.inf)]
 
@@ -112,9 +110,17 @@ def test_modulation_norms_match_dense_oracle(d, window):
         assert abs(got[pq] - want[pq]) <= 1e-12 * want[pq], pq
 
 
+def test_modulation_norms_reject_a_full_covariance_window():
+    # a non-diagonal covariance does not factor over the axes
+    full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
+    with pytest.raises(ValueError, match="window covariance must be diagonal"):
+        modulation_norms(oracle_input(16, 2), full, ORACLE_PAIRS)
+
+
 def test_window_factors_only_for_diagonal_covariance():
     full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
-    assert _window_factors(full, 2, 16) is None
+    with pytest.raises(ValueError, match="window covariance must be diagonal"):
+        _window_factors(full, 2, 16)
     diag = WindowSpec(kind="hermite-gaussian", center=(0.4, -0.3),
                       covariance=(1.2, 0.0, 0.0, 0.9))
     f = _window_factors(diag, 2, 16)
@@ -195,20 +201,6 @@ def test_stft_is_identical_for_one_and_two_workers(monkeypatch):
     for k in (1, 2):
         set_workers(monkeypatch, k)
         got[k] = _stft_lp(u, factors, ps)
-    for p in ps:
-        assert np.array_equal(got[1][p], got[2][p]), p
-
-
-def test_dense_stft_is_identical_for_one_and_two_workers(monkeypatch):
-    # a smaller chunk budget splits the 256 shifts of N = 16, d = 2 into 16 chunks
-    N, ps = 16, [1, 2, 3, np.inf]
-    monkeypatch.setattr(spaces, "_CHUNK_ELEMS", 1 << 12)
-    u = oracle_input(N, 2)
-    chi = window_values(WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9)), 2, N)
-    got = {}
-    for k in (1, 2):
-        set_workers(monkeypatch, k)
-        got[k] = _stft_lp_dense(u, chi, ps)
     for p in ps:
         assert np.array_equal(got[1][p], got[2][p]), p
 
@@ -412,6 +404,51 @@ def test_seminorms_finite_for_gaussian_and_order_cap():
         assert all(np.isfinite(sn)) and all(s >= 0 for s in sn)
     with pytest.raises(ValueError):
         symbol_class_seminorms(a, 0.0, 5)
+
+
+@pytest.mark.parametrize("N, max_order", [(4, 0), (12, 4)])
+def test_seminorms_need_a_lattice_interior(N, max_order):
+    # the margin is max_order + 2 points; N <= 2 margin leaves no interior
+    a = np.outer(gauss1d(N), gauss1d(N))
+    with pytest.raises(ValueError, match=f"N = {N} leaves no lattice interior inside "
+                       f"a finite-difference margin of {max_order + 2}"):
+        symbol_class_seminorms(a, 0.0, max_order)
+
+
+def test_fd_derivatives_order_and_core():
+    N, h = 16, H(16)
+    x = axis(N)
+    vals = np.add.outer(x ** 3, x)  # x^3 + y
+    out = list(_fd_derivatives(vals, h, 2, margin=2))
+    assert [alpha for alpha, _, _ in out] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
+                                              (2, 0)]
+    for alpha, core, da in out:
+        assert core == (slice(2, N - 2),) * 2 and da.shape == (N - 4, N - 4)
+    xc = x[2:N - 2]
+    dx = dict((alpha, da) for alpha, _, da in out)
+    assert np.abs(dx[(0, 1)] - 1).max() < 1e-12
+    assert np.abs(dx[(1, 0)] - (3 * xc ** 2 + h ** 2)[:, None]).max() < 1e-12
+    assert np.abs(dx[(1, 1)]).max() < 1e-12
+
+
+def test_embedding_bound_needs_a_lattice_interior():
+    with pytest.raises(ValueError, match="N = 6 leaves no lattice interior"):
+        embedding_bound(WeightSpec(((1, 2.0),)), WindowSpec(), 1, 6)
+    assert np.isfinite(embedding_bound(WeightSpec(((1, 2.0),)), WindowSpec(), 1, 8))
+
+
+def test_singularity_test_is_scale_free():
+    u = np.ones((8, 8), complex)
+    # uniformly tiny but well conditioned: accepted, and the chirp stays unitary
+    v = chirp_TA(np.array([[1e-13]]), u[0])
+    assert abs(np.linalg.norm(v) - np.linalg.norm(u[0])) < 1e-10
+    out = dilation_ratio(np.outer(gauss1d(16), gauss1d(16)), 1e-7 * np.eye(2), 1, 1)
+    assert np.isfinite(out["measured"]) and np.isfinite(out["bound_shape"])
+    # large determinant but condition 1e13: rejected
+    with pytest.raises(ValueError, match="A must be invertible"):
+        chirp_TA(np.diag([1e8, 1e-5]), u)
+    with pytest.raises(ValueError, match="A must be invertible"):
+        chirp_TA(np.array([[np.nan]]), u[0])
 
 
 def test_seminorm_derivative_consistency():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symplecta.symplin import (BilinearForm, SymplecticSpace,
+from symplecta.symplin import (BilinearForm, SymplecticSpace, _singular,
                                compatible_from_inner, factor_sigma_symmetric,
                                nondegeneracy_gate, sigma_eval, symplectic_adjoint,
                                symplectic_basis)
@@ -134,3 +134,18 @@ def test_bilinear_form_validation():
         BilinearForm(-np.eye(2), "inner-product")
     with pytest.raises(ValueError):
         BilinearForm(np.eye(2), "quadratic")
+
+
+def test_singular_is_scale_free_and_rejects_non_finite_entries():
+    assert not _singular([[1e-13]])
+    assert not _singular(1e-7 * np.eye(2))
+    assert not _singular(np.diag([1e8, 1e-1]))
+    assert _singular(np.diag([1e8, 1e-5]))  # condition 1e13
+    assert _singular(np.zeros((2, 2)))
+    assert _singular([[np.inf, 0.0], [0.0, 1.0]])
+    assert _singular([[np.nan]])
+
+
+def test_factor_rejects_a_non_finite_S():
+    with pytest.raises(ValueError, match="S is singular"):
+        factor_sigma_symmetric(SymplecticSpace(1), np.full((2, 2), np.nan))
