@@ -25,8 +25,8 @@ from .cocycle import (MultiplierContext, cocycle_residual, coboundary_residual, 
                       omega_tilde)
 from .grid import (GridFunction, _axis, _gaussian, _ord_ft, make_grid, sample_symbol,
                    symplectic_fourier, SymbolSpec)
-from .katoschatten import (bound_suite, kato_identity_residual, kato_synthesis,
-                           multiplier_identity_residual, NormReport)
+from .katoschatten import (_relative_residual, bound_suite, kato_identity_residual,
+                           kato_synthesis, multiplier_identity_residual, NormReport)
 from .spaces import (WeightSpec, WindowSpec, chirp_TA, dilation_ratio,
                      embedding_bound, modulation_norm, sobolev_k_norm)
 from .symplin import SymplecticSpace, nondegeneracy_gate
@@ -123,10 +123,10 @@ def load_config(args):
     cfg.seed = _config_int("seed", cfg.seed)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-    if cfg.n not in (1, 2):
-        raise ConfigError(f"n must be 1 or 2, got {cfg.n}")
-    if cfg.N % 2 != 0 or not (4 <= cfg.N <= 256):
-        raise ConfigError(f"N must be even and in [4, 256], got {cfg.N}")
+    try:
+        make_grid(cfg.n, cfg.N)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
     if cfg.route not in ("synthesis", "kernel"):
@@ -276,12 +276,11 @@ def _suite_verify_core(cfg, report, rng):
     a = _gaussian(grid, 1.2, tilt=0.3)
     lhs = quantize_T(ctx, a)
     rhs = quantize_weyl(ctx, lambda_transform(ctx, a))
-    _check(report, cfg, "thm-n4", np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    _check(report, cfg, "thm-n4", _relative_residual(lhs, rhs))
     if cfg.n == 1:
         ctx_h = _context(cfg, T=np.diag([0.5, 0.5]))
         K = quantize_theta_tau_kernel(grid, 0.5, 0.5, a)
-        A = quantize_T(ctx_h, a)
-        _check(report, cfg, "sec1-routes", np.linalg.norm(K - A) / np.linalg.norm(A))
+        _check(report, cfg, "sec1-routes", _relative_residual(quantize_T(ctx_h, a), K))
     return report
 
 
@@ -310,8 +309,8 @@ def _suite_verify_kato(cfg, report, rng):
         G = np.outer(u, v.conj())
         BG = kato_synthesis(ctx, (lambda xi: np.ones(xi.shape[0])), G)
         want = np.sqrt(ctx.detS) * np.trace(G) * np.eye(M)
-        _check(report, cfg, "thm-n15-ii",
-               np.linalg.norm(BG - want) / np.linalg.norm(want), f"thm-n15-ii[{label}]")
+        _check(report, cfg, "thm-n15-ii", _relative_residual(want, BG),
+               f"thm-n15-ii[{label}]")
         Gp = np.outer(u, u.conj())
         BGp = kato_synthesis(ctx, b, Gp)
         mineig = np.linalg.eigvalsh(0.5 * (BGp + BGp.conj().T)).min()
@@ -319,14 +318,14 @@ def _suite_verify_kato(cfg, report, rng):
         _check(report, cfg, "thm-n15-i", max(0.0, -mineig) / scale,
                f"thm-n15-i[{label}]")
     # orthogonality relation at the configured N
+    x = grid.axis
+    phi_v = np.exp(-x ** 2 / 2) * (1 + 0.1 * x)
+    phi_v /= np.linalg.norm(phi_v)
+    psi_v = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
+    psi_v /= np.linalg.norm(psi_v)
     for label, T in (("T=I/2", np.diag([0.5, 0.5])), ("T=I", np.eye(2)),
                      ("T=diag(.3,.7)", np.diag([0.3, 0.7]))):
         ctx = _context(cfg, T=T)
-        x = np.asarray(grid.axis)
-        phi_v = np.exp(-x ** 2 / 2) * (1 + 0.1 * x)
-        phi_v /= np.linalg.norm(phi_v)
-        psi_v = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
-        psi_v /= np.linalg.norm(psi_v)
         val = orthogonality_integral(ctx, phi_v, psi_v)
         want = np.sqrt(ctx.detS)
         _check(report, cfg, "sec9-orthogonality", abs(val - want) / want,
@@ -391,6 +390,12 @@ def _suite_bounds(cfg, report, rng):
     return report
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_report(cfg, report, name):
     csv_path = os.path.join(cfg.out, f"{name}.csv")
     with _writing_out(cfg):
@@ -407,10 +412,7 @@ def _write_report(cfg, report, name):
                 "config": {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
                            "suite": cfg.suite, "seed": cfg.seed},
             }
-            with open(os.path.join(cfg.out, f"{name}.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(cfg.out, f"{name}.json"), payload)
     return csv_path
 
 
@@ -461,10 +463,7 @@ def cmd_quantize(cfg):
         os.makedirs(cfg.out, exist_ok=True)
         write_operator(A, op_path)
         provenance["sha256"] = hashlib.sha256(Path(op_path).read_bytes()).hexdigest()
-        with open(os.path.join(cfg.out, f"op-{cfg.route}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(provenance, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(cfg.out, f"op-{cfg.route}.json"), provenance)
     print(f"quantize[{cfg.route}]: wrote {op_path}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _lattice_index, translate
 from .symplin import SymplecticSpace, sigma_eval, symplectic_adjoint
 
 
@@ -75,20 +75,17 @@ def cocycle_residual(ctx, triples):
 
 
 def regular_representation(ctx, xi, f):
-    """(R(xi) f)(eta) = omega(eta, xi) f(eta + xi) with periodic wraparound.
+    """(R(xi) f)(eta) = omega(eta, xi) f(eta + xi) with periodic wraparound:
+    omega(., xi) times the translate of f by -xi.
 
     xi must be a lattice point of f's grid (exact mode); the result is unitary
     on the grid inner product and satisfies R(xi)R(eta) = omega(xi,eta)R(xi+eta).
     """
     grid = f.grid
     xi = np.asarray(xi, dtype=float)
-    idx = xi / grid.h
-    idx_i = np.rint(idx)
-    if np.abs(idx - idx_i).max() > 1e-9:
+    if _lattice_index(xi / grid.h) is None:
         raise ValueError("off-grid xi; use a lattice point (resampled mode is "
                          "available through grid.translate)")
-    shifted = np.roll(f.values, shift=tuple(-int(k) for k in idx_i),
-                      axis=tuple(range(grid.dim)))
     pts = grid.points()
     phase = omega(ctx, pts, np.broadcast_to(xi, pts.shape)).reshape(f.values.shape)
-    return GridFunction(grid, phase * shifted)
+    return GridFunction(grid, phase * translate(-xi, f).values)

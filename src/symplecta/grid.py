@@ -17,9 +17,14 @@ import numpy as np
 from .symplin import SymplecticSpace, _singular, sigma_eval
 
 
+def _lattice_spacing(N):
+    """The self-dual lattice spacing h = sqrt(2pi/N)."""
+    return np.sqrt(2 * np.pi / N)
+
+
 def _axis(N):
-    """Centered self-dual lattice axis {-N/2, ..., N/2-1} * sqrt(2pi/N)."""
-    return (np.arange(N) - N // 2) * np.sqrt(2 * np.pi / N)
+    """Centered self-dual lattice axis {-N/2, ..., N/2-1} * h."""
+    return (np.arange(N) - N // 2) * _lattice_spacing(N)
 
 
 def _product_points(axes):
@@ -46,6 +51,19 @@ def _ord_ift(vals, axes=None):
     axes = tuple(range(vals.ndim)) if axes is None else axes
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(vals, axes=axes),
                                         axes=axes), axes=axes)
+
+
+def _lattice_index(x):
+    """The integers nearest to x, as floats, or None unless every entry of x
+    lies within 1e-9 of them (nan never does)."""
+    xi = np.rint(x)
+    return xi if np.abs(x - xi).max() < 1e-9 else None
+
+
+def _check_exponent(name, p):
+    """Reject a Lebesgue exponent outside (0, inf], nan included."""
+    if not 0 < p <= np.inf:
+        raise ValueError(f"exponent {name} = {p} is not in (0, inf]")
 
 
 def _centred_roll(i, s, N):
@@ -113,13 +131,13 @@ class PhaseGrid:
 
     def __post_init__(self):
         if self.n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
+            raise ValueError(f"n must be 1 or 2, got {self.n}")
         if self.N % 2 != 0 or not (4 <= self.N <= 256):
-            raise ValueError("N must be even and in [4, 256]")
+            raise ValueError(f"N must be even and in [4, 256], got {self.N}")
 
     @property
     def h(self):
-        return np.sqrt(2 * np.pi / self.N)
+        return _lattice_spacing(self.N)
 
     @property
     def dim(self):
@@ -180,11 +198,9 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function has non-finite values")
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
     def norm_lp(self, p):
-        """Weighted L^p norm with the phase-space weight N^{-n}."""
+        """Weighted L^p norm with the phase-space weight N^{-n}; p in (0, inf]."""
+        _check_exponent("p", p)
         w = self.grid.weight
         a = np.abs(self.values)
         if p == np.inf:
@@ -279,13 +295,6 @@ def apply_multiplier(lam, f):
     return symplectic_fourier(GridFunction(f.grid, lv * g.values))
 
 
-def _lattice_matrix(A, tol=1e-9):
-    Ai = np.rint(A)
-    if np.abs(A - Ai).max() > tol or np.abs(Ai).max() > 2**31:  # no integer index map
-        return None
-    return Ai.astype(int)
-
-
 def pullback(A, f, mode="exact"):
     """Pullback A^* f = f(A .) on the grid.
 
@@ -302,10 +311,10 @@ def pullback(A, f, mode="exact"):
     if _singular(A):
         raise ValueError("singular pullback map")
     N = grid.N
-    Ai = _lattice_matrix(A) if mode in ("exact", "truncated") else None
-    if Ai is not None:
+    Ai = _lattice_index(A) if mode in ("exact", "truncated") else None
+    if Ai is not None and np.abs(Ai).max() <= 2**31:  # an integer index map
         m = np.indices((N,) * grid.dim).reshape(grid.dim, -1).T - N // 2  # (P, 2n)
-        tgt = m @ Ai.T + N // 2
+        tgt = m @ Ai.astype(int).T + N // 2
         out = f.values.ravel()[np.ravel_multi_index(tuple(tgt.T), f.values.shape,
                                                     mode="wrap")]
         if mode == "truncated":
@@ -345,7 +354,7 @@ def _resample(vals, A, mask_outside=False):
             ph = np.exp(1j * (tgt[i0:i0 + chunk] @ kpts.T))
             out[i0:i0 + chunk] = ph @ fkv
     if mask_outside:
-        L = N * np.sqrt(2 * np.pi / N)
+        L = N * _lattice_spacing(N)
         out[~np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)] = 0.0
     return out.reshape(vals.shape)
 
@@ -353,15 +362,17 @@ def _resample(vals, A, mask_outside=False):
 def translate(xi, f, mode="auto"):
     """Translate (tau_xi f)(.) = f(. - xi).
 
-    Lattice xi: exact cyclic index shift.  Off-lattice xi (or mode="resampled"):
-    the Fourier multiplier e^{-i sigma(., xi)}, i.e. a band-limited periodic shift.
+    mode="auto": a lattice xi is an exact cyclic index shift.  Off-lattice xi,
+    or mode="resampled": the Fourier multiplier e^{-i sigma(., xi)}, i.e. a
+    band-limited periodic shift.
     """
+    if mode not in ("auto", "resampled"):
+        raise ValueError(f"unknown translate mode {mode!r}")
     grid = f.grid
     xi = np.asarray(xi, dtype=float)
-    idx = xi / grid.h
-    idx_i = np.rint(idx)
-    if mode != "resampled" and np.abs(idx - idx_i).max() < 1e-9:
-        out = np.roll(f.values, shift=tuple(int(k) for k in idx_i),
+    idx = _lattice_index(xi / grid.h) if mode == "auto" else None
+    if idx is not None:
+        out = np.roll(f.values, shift=tuple(int(k) for k in idx),
                       axis=tuple(range(grid.dim)))
         return GridFunction(grid, out)
     space = grid.space()

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import quantize_T
-from .grid import (GridFunction, PhaseGrid, _gaussian, _product_points, apply_multiplier,
-                   sigma_convolve, symplectic_fourier)
+from .grid import (GridFunction, PhaseGrid, _centred_roll, _gaussian, _product_points,
+                   apply_multiplier, sigma_convolve, symplectic_fourier)
 from .weylrep import _shift_chunks, matrix_coefficient, u_conjugator
 
 
@@ -58,6 +58,13 @@ class SchattenReport:
     singular_values: np.ndarray
 
 
+def _schatten(s, p):
+    """(sum s_i^p)^{1/p} of the singular values s, s_1 for p = inf."""
+    if p == np.inf:
+        return float(s[0]) if s.size else 0.0
+    return float((s ** p).sum() ** (1.0 / p))
+
+
 def schatten_norm(A, p):
     A = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(A)):
@@ -65,11 +72,13 @@ def schatten_norm(A, p):
     if not (1 <= p):
         raise ValueError("p must satisfy 1 <= p <= inf")
     s = np.linalg.svd(A, compute_uv=False)
-    if p == np.inf:
-        val = float(s[0]) if s.size else 0.0
-    else:
-        val = float((s ** p).sum() ** (1.0 / p))
-    return SchattenReport(p=p, norm=val, singular_values=s)
+    return SchattenReport(p=p, norm=_schatten(s, p), singular_values=s)
+
+
+def _relative_residual(ref, x):
+    """||ref - x|| / ||ref|| in the Frobenius norm; 0 when the two agree."""
+    diff = np.linalg.norm(ref - x)
+    return 0.0 if diff == 0 else float(diff / np.linalg.norm(ref))
 
 
 def _cell_reps(ctx):
@@ -185,14 +194,9 @@ def kato_identity_residual(ctx, b, c):
     quantize_T(c), and symmetrically with the roles of b and c exchanged;
     returns the larger relative Frobenius residual.
     """
-    conv = sigma_convolve(b, c)
-    lhs = quantize_T(ctx, conv)
-    scale = np.linalg.norm(lhs)
-    if scale == 0.0:
-        return 0.0
-    r1 = np.linalg.norm(lhs - kato_synthesis(ctx, b, quantize_T(ctx, c))) / scale
-    r2 = np.linalg.norm(lhs - kato_synthesis(ctx, c, quantize_T(ctx, b))) / scale
-    return float(max(r1, r2))
+    lhs = quantize_T(ctx, sigma_convolve(b, c))
+    return max(_relative_residual(lhs, kato_synthesis(ctx, b, quantize_T(ctx, c))),
+               _relative_residual(lhs, kato_synthesis(ctx, c, quantize_T(ctx, b))))
 
 
 def multiplier_identity_residual(ctx, b, c, h_mult):
@@ -204,10 +208,7 @@ def multiplier_identity_residual(ctx, b, c, h_mult):
     conv = sigma_convolve(b, c)
     lhs = quantize_T(ctx, apply_multiplier(h_mult, conv))
     rhs = kato_synthesis(ctx, b, quantize_T(ctx, apply_multiplier(h_mult, c)))
-    scale = np.linalg.norm(lhs)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return _relative_residual(lhs, rhs)
 
 
 def conjugation_coefficient_residual(ctx, a, phi_v, psi_v, sample_indices):
@@ -231,7 +232,7 @@ def conjugation_coefficient_residual(ctx, a, phi_v, psi_v, sample_indices):
         xi = idx * h
         U = u_conjugator(ctx, xi)
         lhs = np.vdot(phi_a, U @ A @ U.conj().T @ psi)
-        rhs = conv.values[tuple(((-idx) + N // 2) % N)]
+        rhs = conv.values[tuple(_centred_roll(0, idx, N))]
         worst = max(worst, abs(lhs - rhs))
     return float(worst)
 
@@ -350,10 +351,10 @@ def modulation_schatten_rows(ctx, report, window, count=10, calibrate=True):
     return report
 
 
-def cordes_rows(ctx, report, t=1.5, calibrate=True):
-    """Trace-norm row for the separable decaying symbol class."""
+def cordes_rows(ctx, report, calibrate=True):
+    """Trace-norm row for the separable decaying symbol class <x>^{-3/2}."""
     grid = ctx.phase_grid
-    ja = (1 + grid.axis ** 2) ** (-t / 2)
+    ja = (1 + grid.axis ** 2) ** -0.75
     f1 = np.real(PhaseGrid(1, grid.N).dft().conj().T @ ja)  # inverse transform, even
     g = GridFunction(grid, functools.reduce(np.multiply.outer, [f1] * grid.dim))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
@@ -374,27 +375,28 @@ def synthesis_bound_rows(ctx, report, count=20, seed=5):
         u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         G = np.outer(u, v.conj())
-        BG = kato_synthesis(ctx, b, G)
+        sv = schatten_norm(kato_synthesis(ctx, b, G), 1).singular_values
         g1 = schatten_norm(G, 1).norm
         for p in (1, 2):
-            val = schatten_norm(BG, p).norm
+            val = _schatten(sv, p)
             bound = ctx.detS ** (0.5 * (1 - 1.0 / p)) * b.norm_lp(p) * g1
             report.add("thm-n15-b", p, p, val, bound)
     return report
 
 
-def interpolation_rows(ctx, report, mu=1.25, count=5, calibrate=True):
+def interpolation_rows(ctx, report, calibrate=True):
     """Rows for the Schatten bound by the phase-space Sobolev norm of order
-    2 mu n |1 - 2/p| (mu fixed at 1.25 for reporting)."""
+    2 mu n |1 - 2/p|, with mu fixed at 1.25, over five family members."""
     from .spaces import WeightSpec, sobolev_k_norm
 
-    fam = _gauss_family(ctx.phase_grid, count)
+    fam = _gauss_family(ctx.phase_grid, 5)
+    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a in fam]
     n = ctx.space.n
     for p in (1, 2):
-        s = 2 * mu * n * abs(1 - 2.0 / p)
+        s = 2 * 1.25 * n * abs(1 - 2.0 / p)
         k = WeightSpec(((ctx.phase_grid.dim, s),)) if s > 0 else None
-        for a in fam:
-            sn = schatten_norm(quantize_T(ctx, a), p).norm
+        for a, sv in zip(fam, svals):
+            sn = _schatten(sv, p)
             if k is None:
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2
             else:
@@ -404,8 +406,9 @@ def interpolation_rows(ctx, report, mu=1.25, count=5, calibrate=True):
     return report
 
 
-def bound_suite(ctx, window=None, frozen_constants=None, synthesis_count=20):
-    """Run every norm-bound family and return the populated NormReport.
+def bound_suite(ctx, frozen_constants=None, synthesis_count=20):
+    """Run every norm-bound family, with the default analysis window, and
+    return the populated NormReport.
 
     With frozen_constants supplied the run is a pure check; otherwise the first
     family member calibrates each unspecified constant at twice its measured
@@ -413,11 +416,9 @@ def bound_suite(ctx, window=None, frozen_constants=None, synthesis_count=20):
     """
     from .spaces import WindowSpec
 
-    if window is None:
-        window = WindowSpec()
     report = NormReport(frozen_constants=dict(frozen_constants or {}))
     calibrate = not frozen_constants
-    modulation_schatten_rows(ctx, report, window, calibrate=calibrate)
+    modulation_schatten_rows(ctx, report, WindowSpec(), calibrate=calibrate)
     cordes_rows(ctx, report, calibrate=calibrate)
     synthesis_bound_rows(ctx, report, count=synthesis_count)
     interpolation_rows(ctx, report, calibrate=calibrate)

@@ -9,14 +9,16 @@ so that the computed norms are Riemann sums of their continuum counterparts
 and explicit inequality constants transfer.
 """
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, _axis, _centred_roll, _gauss_hermite, _lattice_points,
-                   _ord_ft, _ord_ift, _resample, _spec_params)
+from .grid import (GridFunction, _axis, _centred_roll, _check_exponent, _gauss_hermite,
+                   _lattice_points, _lattice_spacing, _ord_ft, _ord_ift, _resample,
+                   _spec_params)
 from .symplin import _singular
 
 
@@ -27,10 +29,11 @@ def _values(u):
 
 
 def _spacing(vals):
+    """The lattice spacing of samples on a cubical lattice."""
     N = vals.shape[0]
     if any(s != N for s in vals.shape):
         raise ValueError("expected a cubical lattice")
-    return np.sqrt(2 * np.pi / N)
+    return _lattice_spacing(N)
 
 
 def _lp_rows(vals, p, weight):
@@ -70,12 +73,9 @@ class WindowSpec:
 
 
 def window_values(window, d, N):
-    """Evaluate a WindowSpec on the centered d-dimensional lattice."""
-    center, cov, hermite = _spec_params(window, d)
-    out = _gauss_hermite(_lattice_points(N, d) - center, cov, hermite).reshape((N,) * d)
-    if np.abs(out).max() == 0.0:
-        raise ValueError("window vanishes identically on the lattice")
-    return out
+    """Evaluate a WindowSpec on the centered d-dimensional lattice: the outer
+    product of its factors, so the covariance must be diagonal."""
+    return functools.reduce(np.multiply.outer, _window_factors(window, d, N))
 
 
 def _window_factors(window, d, N):
@@ -237,12 +237,6 @@ def _stft_lp(uvals, factors, ps):
     return out
 
 
-def _check_exponent(name, p):
-    """Reject a Lebesgue exponent outside (0, inf], nan included."""
-    if not 0 < p <= np.inf:
-        raise ValueError(f"exponent {name} = {p} is not in (0, inf]")
-
-
 def modulation_norms(u, window, pairs):
     """Modulation norms for several (p, q) pairs sharing one analysis pass.
 
@@ -388,7 +382,8 @@ def embedding_bound(k, window, q, N, d=None):
     bound = (2 pi)^{-d} ||<.>^{-2r}||_{L^1} (sum_{|alpha| <= 2r} C_alpha
     ||M_k d^alpha chi||_{L^1}) ||1/k||_{L^q}, with r = floor(d/2) + 1, every
     norm taken as a lattice sum.  C_alpha = sup |d^alpha k| / k on the lattice
-    interior.  Requires 1/k in L^q: q t_j > n_j on every weight block.
+    interior.  Requires 1/k in L^q: q t_j > n_j on every weight block, and a
+    window with a diagonal covariance.
     """
     _check_exponent("q", q)
     d = k.dim if d is None else d
@@ -399,13 +394,14 @@ def embedding_bound(k, window, q, N, d=None):
             raise ValueError(
                 f"1/k is not L^{q} on weight block {j}: q t = {q * tj} <= "
                 f"block dimension {nj}")
-    h = np.sqrt(2 * np.pi / N)
+    h = _lattice_spacing(N)
     pts = _lattice_points(N, d)
     r = d // 2 + 1
     bracket = float(np.sum((1 + (pts ** 2).sum(1)) ** (-r)) * h ** d)
-    inv_k_q = float((np.sum(k.values(pts) ** (-q)) * h ** d) ** (1.0 / q))
+    kv = k.values(pts)
+    inv_k_q = float((np.sum(kv ** (-q)) * h ** d) ** (1.0 / q))
     chiv = window_values(window, d, N)
-    kgrid = k.values(pts).reshape((N,) * d).astype(float)
+    kgrid = kv.reshape((N,) * d).astype(float)
     Mk = k.majorant(pts).reshape((N,) * d)
     total = 0.0
     for alpha, core, dk in _fd_derivatives(kgrid, h, 2 * r, margin=3):

@@ -110,24 +110,17 @@ class GateResult:
 def nondegeneracy_gate(space, T):
     """Compute S = T + T^sigma and decide invertibility.
 
-    When S is (numerically) singular a unit kernel witness xi with
-    ||S xi|| <= tolerance is returned; such a xi has e^{i sigma(xi, T eta)}
-    symmetric in its arguments for every eta.
+    When S is singular by _singular, a unit kernel witness xi with
+    ||S xi|| <= tolerance is returned (e_0 when S = 0); such a xi has
+    e^{i sigma(xi, T eta)} symmetric in its arguments for every eta.
     """
     T = np.asarray(T, dtype=float)
     S = T + symplectic_adjoint(space, T)
-    svals = np.linalg.svd(S, compute_uv=False)
-    smax = svals[0]
-    nondeg = smax > 0 and svals[-1] > _RANK_RTOL * smax
+    nondeg = not _singular(S)
     witness = None
     if not nondeg:
-        if smax == 0:
-            witness = np.zeros(space.dim)
-            witness[0] = 1.0
-        else:
-            _, _, Vt = np.linalg.svd(S)
-            witness = Vt[-1]
-    return GateResult(S=S, detS=float(np.linalg.det(S)), nondegenerate=bool(nondeg),
+        witness = np.linalg.svd(S)[2][-1] if S.any() else np.eye(space.dim)[0]
+    return GateResult(S=S, detS=float(np.linalg.det(S)), nondegenerate=nondeg,
                       kernel_witness=witness)
 
 
@@ -146,10 +139,8 @@ def symplectic_basis(space, Omega):
     else:
         Om = np.asarray(Omega, dtype=float)
     d = space.dim
-    svals = np.linalg.svd(Om, compute_uv=False)
-    if svals[-1] <= _RANK_RTOL * svals[0]:
-        raise ValueError(
-            f"degenerate antisymmetric form; smallest singular value {svals[-1]:.3e}")
+    if _singular(Om):
+        raise ValueError("degenerate antisymmetric form")
 
     def pair(u, v):
         return float(u @ Om @ v)

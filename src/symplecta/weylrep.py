@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import MultiplierContext
+from .cocycle import MultiplierContext, coboundary
 from .grid import GridFunction, PhaseGrid, _centred_diagonals, _ord_ift
-from .symplin import factor_sigma_symmetric, nondegeneracy_gate, sigma_eval
+from .symplin import factor_sigma_symmetric, nondegeneracy_gate
 
 
 # The configuration lattice is the first n axes of the phase grid.  The old name
@@ -51,8 +51,9 @@ class RepContext(MultiplierContext):
         return self.phi @ self.Sinv
 
     def lam_values(self, pts):
-        """lambda(xi) = e^{-(i/2) sigma(xi, T xi)} on an array of points."""
-        return np.exp(-0.5j * sigma_eval(self.space, pts, pts @ self.T.T))
+        """lambda(xi) = e^{-(i/2) sigma(xi, T xi)}, the conjugate of the
+        coboundary mu, on an array of points."""
+        return np.conj(coboundary(self, pts))
 
 
 def build_rep_context(space, T, grid):

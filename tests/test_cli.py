@@ -178,6 +178,14 @@ def test_n_outside_one_two_exits_two(tmp_path, capsys, n):
     assert "config error: n must be 1 or 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", [31, 2, 258])
+def test_N_outside_the_grid_limits_exits_two_naming_it(tmp_path, capsys, N):
+    cfg = write_cfg(tmp_path, N=N)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert (f"config error: N must be even and in [4, 256], got {N}"
+            in capsys.readouterr().err)
+
+
 def test_kato_report_reads_as_seven_column_csv(tmp_path):
     assert main(["verify", "--suite", "verify-kato", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "report-verify-kato.csv", newline="",

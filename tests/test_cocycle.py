@@ -78,6 +78,18 @@ def test_regular_representation_is_unitary_and_projective():
     assert np.abs((lhs.values - rhs)[mask]).max() < 1e-12
 
 
+def test_regular_representation_gathers_the_lattice_translate():
+    grid = make_grid(1, 16)
+    ctx = MultiplierContext(SP, SUITE_T["general"])
+    f = GridFunction(grid, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    xi = np.array([2.0, -3.0]) * grid.h
+    pts = grid.points()
+    phase = omega(ctx, pts, np.broadcast_to(xi, pts.shape)).reshape(16, 16)
+    # (R(xi) f)(eta) = omega(eta, xi) f(eta + xi): index (i, j) reads (i + 2, j - 3)
+    want = phase * np.roll(f.values, (-2, 3), axis=(0, 1))
+    assert np.array_equal(regular_representation(ctx, xi, f).values, want)
+
+
 def test_regular_representation_rejects_off_grid_shift():
     grid = make_grid(1, 16)
     ctx = MultiplierContext(SP, SUITE_T["half"])

@@ -29,6 +29,20 @@ def test_grid_validation():
         make_grid(1, 2)
 
 
+def test_grid_limits_name_the_value_given():
+    with pytest.raises(ValueError, match="n must be 1 or 2, got 3"):
+        make_grid(3, 32)
+    with pytest.raises(ValueError, match=r"N must be even and in \[4, 256\], got 31"):
+        make_grid(1, 31)
+
+
+@pytest.mark.parametrize("p", [0, -1, np.nan])
+def test_norm_lp_rejects_exponents_outside_zero_inf(p):
+    f = gaussian(make_grid(1, 16), 1.0, [0.3, -0.2])
+    with pytest.raises(ValueError, match=f"exponent p = {p} is not in"):
+        f.norm_lp(p)
+
+
 def test_grid_function_validation():
     g = make_grid(1, 8)
     with pytest.raises(ValueError):
@@ -159,6 +173,12 @@ def test_translate_lattice_matches_band_limited_route():
     rolled = translate(xi, f)
     smooth = translate(xi, f, mode="resampled")
     assert np.abs(rolled.values - smooth.values).max() < 1e-9
+
+
+def test_translate_rejects_an_unknown_mode():
+    f = gaussian(make_grid(1, 16), 1.0)
+    with pytest.raises(ValueError, match="unknown translate mode 'bogus'"):
+        translate(np.zeros(2), f, mode="bogus")
 
 
 def test_convolution_identity_element():

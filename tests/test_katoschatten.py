@@ -265,6 +265,18 @@ def test_norm_report_csv_format():
     assert not rep.all_passed()
 
 
+def test_bound_suite_decomposes_each_operator_once(monkeypatch):
+    # one quantization and one SVD per operator serve both p = 1 and p = 2
+    calls = {"schatten_norm": 0, "quantize_T": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(katoschatten, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(katoschatten, name, counted)
+    bound_suite(make_ctx(SUITE_T["half"], N=16), synthesis_count=4)
+    assert calls == {"schatten_norm": 24, "quantize_T": 16}
+
+
 def test_bound_suite_smoke_and_refreeze():
     ctx = make_ctx(SUITE_T["half"], N=16)
     rep = bound_suite(ctx, synthesis_count=4)

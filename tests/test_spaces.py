@@ -117,6 +117,12 @@ def test_modulation_norms_reject_a_full_covariance_window():
         modulation_norms(oracle_input(16, 2), full, ORACLE_PAIRS)
 
 
+def test_embedding_bound_rejects_a_full_covariance_window():
+    full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
+    with pytest.raises(ValueError, match="window covariance must be diagonal"):
+        embedding_bound(WeightSpec(((2, 3.0),)), full, 1, 16)
+
+
 def test_window_factors_only_for_diagonal_covariance():
     full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
     with pytest.raises(ValueError, match="window covariance must be diagonal"):

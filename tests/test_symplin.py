@@ -64,6 +64,13 @@ def test_gate_flags_fully_antisymmetric_multiplier():
     assert abs(np.linalg.norm(gate.kernel_witness) - 1.0) < 1e-12
 
 
+def test_gate_gives_the_zero_map_the_witness_e0():
+    sp = SymplecticSpace(2)
+    gate = nondegeneracy_gate(sp, np.zeros((4, 4)))
+    assert not gate.nondegenerate
+    assert np.array_equal(gate.kernel_witness, np.eye(4)[0])
+
+
 def test_symplectic_basis_normalizes_random_form():
     sp = SymplecticSpace(2)
     M = rng.standard_normal((4, 4)) + 0.5 * np.eye(4)
