@@ -76,9 +76,13 @@ def schatten_norm(A, p):
 
 
 def _relative_residual(ref, x):
-    """||ref - x|| / ||ref|| in the Frobenius norm; 0 when the two agree."""
+    """||ref - x|| / ||ref|| in the Frobenius norm; 0 when the two agree and
+    inf when only ref is 0."""
     diff = np.linalg.norm(ref - x)
-    return 0.0 if diff == 0 else float(diff / np.linalg.norm(ref))
+    if diff == 0:
+        return 0.0
+    scale = np.linalg.norm(ref)
+    return float(diff / scale) if scale else float("inf")
 
 
 def _cell_reps(ctx):
@@ -337,12 +341,9 @@ def modulation_schatten_rows(ctx, report, window, count=10, calibrate=True):
     fam = _gauss_family(ctx.phase_grid, count)
     measured = []
     for a in fam:
-        A = quantize_T(ctx, a)
-        s = schatten_norm(A, 1)
+        sv = schatten_norm(quantize_T(ctx, a), 1).singular_values
         mn = modulation_norms(a, window, [(1, 1), (2, 1)])
-        measured.append({1: (s.norm, mn[(1, 1)]),
-                         2: (float(np.sqrt((s.singular_values ** 2).sum())),
-                             mn[(2, 1)])})
+        measured.append({p: (_schatten(sv, p), mn[(p, 1)]) for p in (1, 2)})
     for p in (1, 2):
         for m in measured:
             sn, mn = m[p]

@@ -3,9 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from symplecta.grid import _centred_roll
+from symplecta.grid import _centred_roll, _gauss_hermite, _lattice_points, _spec_params
 from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
-from symplecta.spaces import window_values
 from symplecta.symplin import SymplecticSpace
 from symplecta import weylrep
 from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
@@ -96,12 +95,19 @@ def dense_stft_lp(uvals, chivals, ps, shifts=None):
     return out
 
 
+def dense_window(window, d, N):
+    """A WindowSpec sampled from its d-dimensional definition at every lattice
+    point, without splitting it into per-axis factors."""
+    center, cov, hermite = _spec_params(window, d)
+    return _gauss_hermite(_lattice_points(N, d) - center, cov, hermite).reshape((N,) * d)
+
+
 def dense_modulation_norms(uvals, window, pairs):
     """modulation_norms through dense_stft_lp and the sampled window."""
     d = uvals.ndim
     N = uvals.shape[0]
     h = np.sqrt(2 * np.pi / N)
-    slices = dense_stft_lp(uvals, window_values(window, d, N), {p for p, _ in pairs})
+    slices = dense_stft_lp(uvals, dense_window(window, d, N), {p for p, _ in pairs})
     out = {}
     for p, q in pairs:
         s = slices[p]

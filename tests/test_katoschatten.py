@@ -5,7 +5,7 @@ from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
 from symplecta import katoschatten
 from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
-from symplecta.katoschatten import (NormReport, _cell_reps, bound_suite,
+from symplecta.katoschatten import (NormReport, _cell_reps, _relative_residual, bound_suite,
                                     conjugation_coefficient_residual,
                                     kato_identity_residual, kato_synthesis,
                                     majorization_residual,
@@ -171,6 +171,14 @@ def test_identity_residual_gaussian_densities():
     b = gaussian(g, 1.0, center=(0.5, 0.0))
     c = gaussian(g, 1.0, center=(0.0, 0.3))
     assert kato_identity_residual(ctx, b, c) < 1e-6
+
+
+def test_relative_residual_of_a_zero_reference(recwarn):
+    A = np.arange(4.0).reshape(2, 2) + 1j
+    assert _relative_residual(A, A) == 0.0
+    assert _relative_residual(0 * A, 0 * A) == 0.0
+    assert _relative_residual(0 * A, A) == np.inf
+    assert not recwarn.list
 
 
 def test_multiplier_identity_reduces_to_plain_identity():

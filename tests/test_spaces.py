@@ -10,7 +10,7 @@ from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
                               modulation_norms, sobolev_k_norm, symbol_class_seminorms,
                               trig_resample, window_values)
 
-from conftest import dense_modulation_norms, dense_stft_lp, set_workers
+from conftest import dense_modulation_norms, dense_stft_lp, dense_window, set_workers
 
 rng = np.random.default_rng(61)
 H = lambda N: np.sqrt(2 * np.pi / N)
@@ -59,7 +59,7 @@ def test_stft_matches_dense_oracle():
     # independent reference: explicit loop over shifts with a dense DFT
     N = 16
     u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    chi = window_values(WindowSpec(), 1, N)
+    chi = dense_window(WindowSpec(), 1, N)
     h = H(N)
     x = axis(N)
     F = np.exp(-1j * np.outer(x, x)) / np.sqrt(N)
@@ -130,7 +130,9 @@ def test_window_factors_only_for_diagonal_covariance():
     diag = WindowSpec(kind="hermite-gaussian", center=(0.4, -0.3),
                       covariance=(1.2, 0.0, 0.0, 0.9))
     f = _window_factors(diag, 2, 16)
-    assert np.abs(np.multiply.outer(f[0], f[1]) - window_values(diag, 2, 16)).max() < 1e-15
+    want = dense_window(diag, 2, 16)
+    assert np.abs(np.multiply.outer(f[0], f[1]) - want).max() < 1e-15
+    assert np.abs(window_values(diag, 2, 16) - want).max() < 1e-15
     with pytest.raises(ValueError):
         _window_factors(WindowSpec(center=(1e6, 0.0)), 2, 16)
 
@@ -146,7 +148,7 @@ def test_stft_chunk_boundaries_match_dense_oracle_at_n128():
     got = _stft_lp(u, _window_factors(WindowSpec(), 2, N), ps)
     rows = [0, chunk - 1, chunk, N // 2 - 1, N // 2, N - 1]
     shifts = (np.asarray(rows)[:, None] * N + np.arange(N)).ravel()
-    want = dense_stft_lp(u, window_values(WindowSpec(), 2, N), ps, shifts)
+    want = dense_stft_lp(u, dense_window(WindowSpec(), 2, N), ps, shifts)
     for p in ps:
         assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
 
@@ -161,7 +163,7 @@ def test_stft_sub_range_boundaries_match_dense_oracle_at_n128():
     u = oracle_input(N, 2)
     got = _stft_lp(u, _window_factors(WindowSpec(), 2, N), ps)
     shifts = [s0 * N + t for s0 in (0, 1, N - 1) for t in (0, sub - 1, sub, N - 1)]
-    want = dense_stft_lp(u, window_values(WindowSpec(), 2, N), ps, shifts)
+    want = dense_stft_lp(u, dense_window(WindowSpec(), 2, N), ps, shifts)
     for p in ps:
         assert np.abs(got[p][shifts] - want[p]).max() <= 1e-12 * want[p].max(), p
 
