@@ -14,7 +14,6 @@ from .symplin import (
     nondegeneracy_gate,
     symplectic_basis,
     factor_sigma_symmetric,
-    compatible_from_inner,
 )
 from .grid import (
     PhaseGrid,

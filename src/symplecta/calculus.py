@@ -47,15 +47,14 @@ def lambda_transform(ctx, a):
     """The symbol transform Lam: Op_T(a) = Op_tilde(Lam a).
 
     Multiplies the sigma-Fourier transform by lam(xi) = e^{-(i/2) sigma(xi,T xi)}
-    and composes with the lattice map S.  For expanding S the composition is
-    truncated (zero outside the fundamental box) rather than wrapped, since a
-    wrapped expansion would fold in spurious periodic copies of the symbol.
+    and composes with the lattice map S.  The composition is truncated (zero
+    outside the fundamental box) rather than wrapped, since a wrapped expansion
+    would fold in spurious periodic copies of the symbol; for S = I it is the
+    identity gather.
     """
     pts = ctx.phase_grid.points()
     lam = ctx.lam_values(pts).reshape(a.values.shape)
-    am = apply_multiplier(lam, a)
-    mode = "exact" if np.abs(ctx.S - np.eye(ctx.space.dim)).max() < 1e-12 else "truncated"
-    return pullback(ctx.S, am, mode=mode)
+    return pullback(ctx.S, apply_multiplier(lam, a), mode="truncated")
 
 
 def inverse_lambda_transform(ctx, b):

@@ -369,7 +369,7 @@ def _suite_norms(cfg, report, rng):
     # embedding bound on the line
     k = WeightSpec(((1, 2.0),))
     try:
-        bound = embedding_bound(k, window, 1, N, d=1)
+        bound = embedding_bound(k, window, 1, N)
     except ValueError as exc:  # no lattice interior for the finite differences
         raise ConfigError(f"N must be at least 8 for the norms suite, got {N}: {exc}")
     x = _axis(N)

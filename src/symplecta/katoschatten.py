@@ -46,6 +46,7 @@ import numpy as np
 from .calculus import quantize_T
 from .grid import (GridFunction, PhaseGrid, _centred_roll, _gaussian, _product_points,
                    apply_multiplier, sigma_convolve, symplectic_fourier)
+from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
 from .weylrep import _shift_chunks, matrix_coefficient, u_conjugator
 
 
@@ -292,19 +293,26 @@ class NormRow:
 
 @dataclass
 class NormReport:
+    """Norm-bound rows and their constants.  Built without frozen constants the
+    report calibrates them; built with them it only checks against them."""
+
     rows: list = field(default_factory=list)
     frozen_constants: dict = field(default_factory=dict)
+    calibrating: bool = field(init=False)
+
+    def __post_init__(self):
+        self.calibrating = not self.frozen_constants
 
     def add(self, quantity, p, q, value, bound):
         ratio = value / bound if bound > 0 else np.inf
         self.rows.append(NormRow(quantity, p, q, float(value), float(bound),
                                  float(ratio), bool(ratio <= 1.0)))
 
-    def frozen(self, key, ratio, calibrate):
-        """The frozen constant `key`; when it is missing and calibrate is on,
-        twice the first member's measured ratio is frozen."""
+    def frozen(self, key, ratio):
+        """The frozen constant `key`; when it is missing from a calibrating
+        report, twice this first measured ratio is frozen."""
         if key not in self.frozen_constants:
-            if not calibrate:
+            if not self.calibrating:
                 raise ValueError(f"no frozen constant for {key}")
             self.frozen_constants[key] = 2.0 * ratio
         return self.frozen_constants[key]
@@ -334,32 +342,28 @@ def _gauss_family(grid, count):
     return out
 
 
-def modulation_schatten_rows(ctx, report, window, count=10, calibrate=True):
-    """Rows for the Schatten-vs-modulation bound over the calibration family."""
-    from .spaces import modulation_norms
-
+def modulation_schatten_rows(ctx, report, window, count=10):
+    """Rows for the Schatten-vs-modulation bound over the calibration family;
+    returns the singular values of each member's Op_T."""
     fam = _gauss_family(ctx.phase_grid, count)
-    measured = []
-    for a in fam:
-        sv = schatten_norm(quantize_T(ctx, a), 1).singular_values
-        mn = modulation_norms(a, window, [(1, 1), (2, 1)])
-        measured.append({p: (_schatten(sv, p), mn[(p, 1)]) for p in (1, 2)})
+    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a in fam]
+    mnorms = [modulation_norms(a, window, [(1, 1), (2, 1)]) for a in fam]
     for p in (1, 2):
-        for m in measured:
-            sn, mn = m[p]
-            const = report.frozen(f"thm-n7:p={p}", sn / mn, calibrate)
-            report.add("thm-n7", p, 1, sn, const * mn)
-    return report
+        for sv, mn in zip(svals, mnorms):
+            sn = _schatten(sv, p)
+            const = report.frozen(f"thm-n7:p={p}", sn / mn[(p, 1)])
+            report.add("thm-n7", p, 1, sn, const * mn[(p, 1)])
+    return svals
 
 
-def cordes_rows(ctx, report, calibrate=True):
+def cordes_rows(ctx, report):
     """Trace-norm row for the separable decaying symbol class <x>^{-3/2}."""
     grid = ctx.phase_grid
     ja = (1 + grid.axis ** 2) ** -0.75
     f1 = np.real(PhaseGrid(1, grid.N).dft().conj().T @ ja)  # inverse transform, even
     g = GridFunction(grid, functools.reduce(np.multiply.outer, [f1] * grid.dim))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
-    report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val, calibrate))
+    report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val))
     return report
 
 
@@ -385,13 +389,12 @@ def synthesis_bound_rows(ctx, report, count=20, seed=5):
     return report
 
 
-def interpolation_rows(ctx, report, calibrate=True):
+def interpolation_rows(ctx, report, svals):
     """Rows for the Schatten bound by the phase-space Sobolev norm of order
-    2 mu n |1 - 2/p|, with mu fixed at 1.25, over five family members."""
-    from .spaces import WeightSpec, sobolev_k_norm
-
+    2 mu n |1 - 2/p|, with mu fixed at 1.25, over the first five family
+    members; svals are the singular values of their Op_T, as
+    modulation_schatten_rows returns them."""
     fam = _gauss_family(ctx.phase_grid, 5)
-    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a in fam]
     n = ctx.space.n
     for p in (1, 2):
         s = 2 * 1.25 * n * abs(1 - 2.0 / p)
@@ -402,7 +405,7 @@ def interpolation_rows(ctx, report, calibrate=True):
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2
             else:
                 hn = sobolev_k_norm(a, k, p)
-            const = report.frozen(f"interp-mu:p={p}", sn / hn, calibrate)
+            const = report.frozen(f"interp-mu:p={p}", sn / hn)
             report.add("interp-mu", p, p, sn, const * hn)
     return report
 
@@ -411,16 +414,13 @@ def bound_suite(ctx, frozen_constants=None, synthesis_count=20):
     """Run every norm-bound family, with the default analysis window, and
     return the populated NormReport.
 
-    With frozen_constants supplied the run is a pure check; otherwise the first
-    family member calibrates each unspecified constant at twice its measured
-    ratio, and the frozen values are recorded in the report for reuse.
+    With frozen_constants supplied the run is a pure check; otherwise the
+    report calibrates them (see NormReport).  Each calibration operator is
+    quantized and decomposed once.
     """
-    from .spaces import WindowSpec
-
     report = NormReport(frozen_constants=dict(frozen_constants or {}))
-    calibrate = not frozen_constants
-    modulation_schatten_rows(ctx, report, WindowSpec(), calibrate=calibrate)
-    cordes_rows(ctx, report, calibrate=calibrate)
+    svals = modulation_schatten_rows(ctx, report, WindowSpec())
+    cordes_rows(ctx, report)
     synthesis_bound_rows(ctx, report, count=synthesis_count)
-    interpolation_rows(ctx, report, calibrate=calibrate)
+    interpolation_rows(ctx, report, svals)
     return report

@@ -12,7 +12,7 @@ and explicit inequality constants transfer.
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,31 +97,30 @@ class WeightSpec:
     """Polynomially controlled weight k(xi) = prod_j <Pr_j xi>^{t_j}.
 
     anisotropy lists (n_j, t_j) pairs: the j-th factor acts on a consecutive
-    block of n_j coordinates with exponent t_j.  The cached (C, Nexp) realize
-    the translation control k(xi + eta) <= C <xi>^Nexp k(eta); defaults come
-    from the Peetre inequality and are spot-verified on 10^4 random samples.
+    block of n_j coordinates with exponent t_j.  The constants (C, Nexp) of
+    the translation control k(xi + eta) <= C <xi>^Nexp k(eta) follow from the
+    anisotropy by the Peetre inequality and are spot-verified on 10^4 random
+    samples.
     """
 
     anisotropy: tuple
-    C: float = None
-    Nexp: float = None
+    C: float = field(init=False)
+    Nexp: float = field(init=False)
 
     def __post_init__(self):
         aniso = tuple((int(nj), float(tj)) for nj, tj in self.anisotropy)
         if not aniso or any(nj < 1 for nj, _ in aniso):
             raise ValueError("anisotropy must list (dimension, exponent) pairs")
-        object.__setattr__(self, "anisotropy", aniso)
-        if self.C is None:
-            self.C = float(np.prod([2.0 ** (abs(tj) / 2) for _, tj in aniso]))
-        if self.Nexp is None:
-            self.Nexp = float(sum(abs(tj) for _, tj in aniso))
+        self.anisotropy = aniso
+        self.C = float(np.prod([2.0 ** (abs(tj) / 2) for _, tj in aniso]))
+        self.Nexp = float(sum(abs(tj) for _, tj in aniso))
         rng = np.random.default_rng(190847)
         xi = rng.uniform(-10, 10, size=(10000, self.dim))
         eta = rng.uniform(-10, 10, size=(10000, self.dim))
         lhs = self.values(xi + eta)
         rhs = self.C * (1 + (xi ** 2).sum(1)) ** (self.Nexp / 2) * self.values(eta)
         if not np.all(lhs <= rhs * (1 + 1e-12)):
-            raise ValueError("cached translation-control constants fail on samples")
+            raise ValueError("translation-control constants fail on samples")
 
     @property
     def dim(self):
@@ -376,19 +375,17 @@ def _spectral_derivative(vals, alpha):
     return _ord_ift(fk)
 
 
-def embedding_bound(k, window, q, N, d=None):
+def embedding_bound(k, window, q, N):
     """Explicit constant bounding M^{p,q} norms by the k-weighted Sobolev norm.
 
     bound = (2 pi)^{-d} ||<.>^{-2r}||_{L^1} (sum_{|alpha| <= 2r} C_alpha
     ||M_k d^alpha chi||_{L^1}) ||1/k||_{L^q}, with r = floor(d/2) + 1, every
     norm taken as a lattice sum.  C_alpha = sup |d^alpha k| / k on the lattice
-    interior.  Requires 1/k in L^q: q t_j > n_j on every weight block, and a
-    window with a diagonal covariance.
+    interior.  The dimension d is that of the weight k.  Requires 1/k in L^q:
+    q t_j > n_j on every weight block, and a window with a diagonal covariance.
     """
     _check_exponent("q", q)
-    d = k.dim if d is None else d
-    if k.dim != d:
-        raise ValueError("weight dimension mismatch")
+    d = k.dim
     for j, (nj, tj) in enumerate(k.anisotropy):
         if q * tj <= nj:
             raise ValueError(

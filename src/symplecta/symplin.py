@@ -1,7 +1,7 @@
 """Symplectic linear algebra on (R^{2n}, sigma).
 
-The form is sigma(xi, eta) = xi^T J eta.  In the default coordinates
-(x_1..x_n, k_1..k_n) the form is sigma((x,k),(y,p)) = <y,k> - <x,p>, i.e.
+The form is sigma(xi, eta) = xi^T J eta, the standard one: in the
+coordinates (x_1..x_n, k_1..k_n) it is sigma((x,k),(y,p)) = <y,k> - <x,p>, i.e.
 J = [[0, -I], [I, 0]] in n x n blocks (for n=1: [[0,-1],[1,0]]).
 
 All maps on W are plain real 2n x 2n matrices; the adjoint with respect to
@@ -26,60 +26,22 @@ def _singular(A):
     return not svals[-1] > _RANK_RTOL * svals[0]
 
 
-def _default_J(n):
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """An even-dimensional real vector space with an antisymmetric invertible form."""
+    """(R^{2n}, sigma) with the standard form J, which n fixes (every symplectic
+    space is one by Darboux's theorem); two spaces are equal when their n are."""
 
     n: int
-    J: np.ndarray = None
+    J: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.J is None:
-            object.__setattr__(self, "J", _default_J(self.n))
-        J = np.asarray(self.J, dtype=float)
-        if J.shape != (2 * self.n, 2 * self.n):
-            raise ValueError("J must be 2n x 2n")
-        if np.abs(J + J.T).max() != 0.0:
-            raise ValueError("J must be exactly antisymmetric")
-        if abs(np.linalg.det(J)) == 0.0:
-            raise ValueError("J must be invertible")
-        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J", np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(self.n)))
 
     @property
     def dim(self):
         return 2 * self.n
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """A real bilinear form B(u, v) = u^T B v with a declared symmetry kind."""
-
-    B: np.ndarray
-    kind: str  # "antisymmetric" | "symmetric" | "inner-product"
-
-    def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
-        object.__setattr__(self, "B", B)
-        if self.kind == "antisymmetric":
-            if np.abs(B + B.T).max() > 1e-12:
-                raise ValueError("form is not antisymmetric")
-        elif self.kind in ("symmetric", "inner-product"):
-            if np.abs(B - B.T).max() > 1e-12:
-                raise ValueError("form is not symmetric")
-            if self.kind == "inner-product":
-                if np.linalg.eigvalsh(B).min() <= 0:
-                    raise ValueError("inner-product form must be positive definite")
-        else:
-            raise ValueError(f"unknown form kind {self.kind!r}")
 
 
 def sigma_eval(space, xi, eta):
@@ -110,12 +72,17 @@ class GateResult:
 def nondegeneracy_gate(space, T):
     """Compute S = T + T^sigma and decide invertibility.
 
-    When S is singular by _singular, a unit kernel witness xi with
-    ||S xi|| <= tolerance is returned (e_0 when S = 0); such a xi has
-    e^{i sigma(xi, T eta)} symmetric in its arguments for every eta.
+    A non-finite S (T + T^sigma overflows) is not representable, so it is
+    degenerate without a kernel witness.  When a finite S is singular by
+    _singular, a unit kernel witness xi with ||S xi|| <= tolerance is returned
+    (e_0 when S = 0); such a xi has e^{i sigma(xi, T eta)} symmetric in its
+    arguments for every eta.
     """
     T = np.asarray(T, dtype=float)
-    S = T + symplectic_adjoint(space, T)
+    with np.errstate(over="ignore"):
+        S = T + symplectic_adjoint(space, T)
+    if not np.isfinite(S).all():
+        return GateResult(S=S, detS=np.nan, nondegenerate=False)
     nondeg = not _singular(S)
     witness = None
     if not nondeg:
@@ -124,20 +91,16 @@ def nondegeneracy_gate(space, T):
                       kernel_witness=witness)
 
 
-def symplectic_basis(space, Omega):
-    """Find B with B^T Omega B = J (the default block form) by symplectic Gram-Schmidt.
+def symplectic_basis(space, Om):
+    """Find B with B^T Om B = J for an antisymmetric matrix Om, by symplectic
+    Gram-Schmidt.
 
-    Greedy pairing: take the first remaining vector u whose Omega-pairing with
+    Greedy pairing: take the first remaining vector u whose Om-pairing with
     another remaining vector is nonzero, pick the partner v with the largest
-    |Omega(u, v)| (ties to the lowest index), rescale so Omega(u, v) matches the
+    |Om(u, v)| (ties to the lowest index), rescale so Om(u, v) matches the
     target entry of J, and project the pair out of the rest.  Deterministic.
     """
-    if isinstance(Omega, BilinearForm):
-        if Omega.kind != "antisymmetric":
-            raise ValueError("symplectic_basis needs an antisymmetric form")
-        Om = Omega.B
-    else:
-        Om = np.asarray(Omega, dtype=float)
+    Om = np.asarray(Om, dtype=float)
     d = space.dim
     if _singular(Om):
         raise ValueError("degenerate antisymmetric form")
@@ -155,7 +118,7 @@ def symplectic_basis(space, Omega):
             raise ValueError("form is degenerate on the working subspace")
         v = remaining.pop(j)
         # target: with columns ordered (a_1..a_n, b_1..b_n), J requires
-        # Omega(a_i, b_i) = J[i, n+i] = -1.
+        # Om(a_i, b_i) = J[i, n+i] = -1.
         v = v * (-1.0 / pair(u, v))
         puv = pair(u, v)  # = -1
         rest = []
@@ -192,34 +155,3 @@ def factor_sigma_symmetric(space, S):
     if res > 1e-9:
         raise ArithmeticError(f"factorization residual {res:.3e}")
     return phi
-
-
-def compatible_from_inner(space, g):
-    """Build a compatible complex structure from an inner product.
-
-    Solves sigma(u, v) = g(A u, v) for A, then normalizes by the polar
-    decomposition in g-orthonormal coordinates: Jc = A (A^T A)^{-1/2} there.
-    Returns (Jc, gJ) where gJ(u, v) = sigma(u, Jc v) is again an inner product
-    and Jc^2 = -I.
-    """
-    if isinstance(g, BilinearForm):
-        if g.kind != "inner-product":
-            raise ValueError("g must be an inner product")
-        G = g.B
-    else:
-        G = np.asarray(g, dtype=float)
-        if np.abs(G - G.T).max() > 1e-12 or np.linalg.eigvalsh(G).min() <= 0:
-            raise ValueError("g must be symmetric positive definite")
-    # sigma(u,v) = u^T J v = (A u)^T G v  =>  A^T G = J  =>  A = G^{-1} J^T
-    A = np.linalg.solve(G, space.J.T)
-    M = np.linalg.cholesky(G).T  # G = M^T M, g-orthonormal coords via M
-    At = M @ A @ np.linalg.inv(M)
-    # polar unitary factor of the g-skew matrix At
-    U_, s_, Vt_ = np.linalg.svd(At)
-    Jt = U_ @ Vt_
-    Jc = np.linalg.inv(M) @ Jt @ M
-    if np.abs(Jc @ Jc + np.eye(space.dim)).max() > 1e-10:
-        raise ArithmeticError("compatible structure does not square to -I")
-    gJ = space.J @ Jc
-    gJ = 0.5 * (gJ + gJ.T)  # symmetrize roundoff
-    return Jc, BilinearForm(gJ, "inner-product")

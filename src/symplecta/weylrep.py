@@ -63,6 +63,8 @@ def build_rep_context(space, T, grid):
     T = np.asarray(T, dtype=float)
     gate = nondegeneracy_gate(space, T)
     if not gate.nondegenerate:
+        if gate.kernel_witness is None:
+            raise ValueError("S = T + T^sigma is not finite: T is too large to represent S")
         raise ValueError(
             "degenerate multiplier: T + T^sigma is singular; kernel witness "
             f"{np.array2string(gate.kernel_witness, precision=6)}")

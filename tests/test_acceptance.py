@@ -202,8 +202,8 @@ def test_criterion_09_frozen_constant_stability():
     cordes_rows(ctx48, cal)
     chk = NormReport(frozen_constants=dict(cal.frozen_constants))
     ctx64 = make_ctx(SUITE_T["half"], N=64)
-    modulation_schatten_rows(ctx64, chk, window, count=10, calibrate=False)
-    cordes_rows(ctx64, chk, calibrate=False)
+    modulation_schatten_rows(ctx64, chk, window, count=10)
+    cordes_rows(ctx64, chk)
     ok = cal.all_passed() and chk.all_passed()
     drift = 0.0
     for p in (1, 2):
@@ -243,7 +243,7 @@ def test_criterion_09_frozen_constant_stability():
 def test_criterion_10_embedding_bound():
     k = WeightSpec(((1, 2.0),))
     window = WindowSpec()
-    bound = embedding_bound(k, window, 1, 64, d=1)
+    bound = embedding_bound(k, window, 1, 64)
     x = (np.arange(64) - 32) * np.sqrt(2 * np.pi / 64)
     worst = 0.0
     for i in range(20):

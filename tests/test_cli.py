@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -328,15 +329,28 @@ def test_unusable_out_exits_two(tmp_path, capsys, out):
 CORE = ["verify", "--suite", "verify-core"]
 
 
-# S = 2e200*I has no finite det S, so no bound built on it may pass
+# S = 2e200*I has no finite det S, so no bound built on it may pass; S = 2e308*I
+# is not even finite.  None of these S is singular, so no kernel witness is given.
 @pytest.mark.parametrize("argv, scale", [
-    (CORE, 1e-8), (CORE, 1e200), (CORE, 1e300),
+    (CORE, 1e-8), (CORE, 1e200), (CORE, 1e300), (CORE, 1e308),
     (["verify", "--suite", "bounds"], 1e200), (["report"], 1e200)],
-    ids=["1e-08", "1e+200", "1e+300", "bounds-1e+200", "report-1e+200"])
+    ids=["1e-08", "1e+200", "1e+300", "1e+308", "bounds-1e+200", "report-1e+200"])
 def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, argv, scale):
     cfg = write_cfg(tmp_path, T=(scale * np.eye(2)).tolist())
     with np.errstate(all="ignore"):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+    assert "witness" not in captured.err
     assert "FAIL" in captured.out or "verification failure" in captured.err
+
+
+def test_overflowing_S_is_reported_as_not_finite(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, T=(1e308 * np.eye(2)).tolist())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(CORE + ["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "S = T + T^sigma is not finite" in err
+    assert "witness" not in err and "singular" not in err

@@ -273,6 +273,24 @@ def test_norm_report_csv_format():
     assert not rep.all_passed()
 
 
+def test_check_only_report_names_a_missing_constant():
+    rep = NormReport(frozen_constants={"a": 1.0})
+    assert not rep.calibrating
+    assert rep.frozen("a", 5.0) == 1.0
+    with pytest.raises(ValueError, match="thm-n7:p=1"):
+        rep.frozen("thm-n7:p=1", 0.25)
+    assert rep.frozen_constants == {"a": 1.0}
+
+
+def test_calibrating_report_freezes_twice_the_first_ratio():
+    rep = NormReport()
+    assert rep.calibrating
+    assert rep.frozen("k", 0.25) == 0.5
+    assert rep.frozen("k", 0.4) == 0.5  # a later ratio does not refreeze
+    assert rep.frozen_constants == {"k": 0.5}
+    assert rep.calibrating
+
+
 def test_bound_suite_decomposes_each_operator_once(monkeypatch):
     # one quantization and one SVD per operator serve both p = 1 and p = 2
     calls = {"schatten_norm": 0, "quantize_T": 0}
@@ -282,7 +300,7 @@ def test_bound_suite_decomposes_each_operator_once(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(katoschatten, name, counted)
     bound_suite(make_ctx(SUITE_T["half"], N=16), synthesis_count=4)
-    assert calls == {"schatten_norm": 24, "quantize_T": 16}
+    assert calls == {"schatten_norm": 19, "quantize_T": 11}
 
 
 def test_bound_suite_smoke_and_refreeze():
