@@ -43,7 +43,7 @@ DEFAULT_SUITE_T = (
 )
 
 
-# default bound of each tolerance tag; the config's "tolerances" may override them
+# the fixed bound of each tolerance tag
 TOLERANCES = {
     "sec3-cocycle": 1e-12, "sec3-coboundary": 1e-12, "sec3-normalization": 1e-12,
     "sec3-nondegeneracy": 1e-10, "sec2-fsigma-involution": 1e-10,
@@ -73,13 +73,9 @@ class RunConfig:
     seed: int = 0
     out: str = "."
     json_mirror: bool = False
-    tolerances: dict = field(default_factory=dict)
 
     def matrix_T(self):
         return np.asarray(self.T, dtype=float).reshape(2 * self.n, 2 * self.n)
-
-    def tol(self, tag):
-        return float(self.tolerances.get(tag, TOLERANCES[tag]))
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "json_mirror")
@@ -141,16 +137,6 @@ def load_config(args):
         raise ConfigError("T must be a 2n x 2n matrix (row-major)")
     if not isinstance(cfg.out, str) or not cfg.out:
         raise ConfigError(f"out must be a non-empty path string, got {cfg.out!r}")
-    if not isinstance(cfg.tolerances, dict):
-        raise ConfigError("tolerances must be a mapping")
-    for tag, val in cfg.tolerances.items():
-        if tag not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance tag {tag!r}; known tags are "
-                              f"{sorted(TOLERANCES)}")
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not 0 < val < np.inf):
-            raise ConfigError(f"tolerances[{tag!r}] must be a finite positive number, "
-                              f"got {val!r}")
     return cfg
 
 
@@ -206,9 +192,9 @@ def _writing_out(cfg):
         raise ConfigError(f"out: cannot write to {cfg.out!r}: {exc}")
 
 
-def _check(report, cfg, tag, value, label=None):
+def _check(report, tag, value, label=None):
     """Add the row `label` (default: the tag) with the bound of its tolerance tag."""
-    report.add(label or tag, 0, 0, value, cfg.tol(tag))
+    report.add(label or tag, 0, 0, value, TOLERANCES[tag])
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +217,9 @@ def _suite_verify_core(cfg, report, rng):
         worst_cob = max(worst_cob, coboundary_residual(ctx, pairs))
         for xi in rng.standard_normal((50, d)):
             worst_norm = max(worst_norm, abs(omega_tilde(ctx, xi, -xi) - 1.0))
-    _check(report, cfg, "sec3-cocycle", worst_cocycle)
-    _check(report, cfg, "sec3-coboundary", worst_cob)
-    _check(report, cfg, "sec3-normalization", worst_norm)
+    _check(report, "sec3-cocycle", worst_cocycle)
+    _check(report, "sec3-coboundary", worst_cob)
+    _check(report, "sec3-normalization", worst_norm)
     # nondegeneracy dichotomy, including one constructed degenerate map
     worst_dich = 0.0
     maps = [rng.standard_normal((d, d)) for _ in range(19)] + [space.J.copy()]
@@ -250,7 +236,7 @@ def _suite_verify_core(cfg, report, rng):
             wts = gate.kernel_witness
             sym = np.abs(omega(mctx, wts, etas) - omega(mctx, etas, wts)).max()
             worst_dich = max(worst_dich, sym)
-    _check(report, cfg, "sec3-nondegeneracy", worst_dich)
+    _check(report, "sec3-nondegeneracy", worst_dich)
     # symplectic Fourier involution / isometry
     grid = make_grid(cfg.n, cfg.N)
     worst_inv = 0.0
@@ -263,24 +249,24 @@ def _suite_verify_core(cfg, report, rng):
         worst_inv = max(worst_inv, np.linalg.norm(ff.values - f.values) / sc)
         worst_iso = max(worst_iso,
                         abs(np.linalg.norm(symplectic_fourier(f).values) - sc) / sc)
-    _check(report, cfg, "sec2-fsigma-involution", worst_inv)
-    _check(report, cfg, "sec2-fsigma-isometry", worst_iso)
+    _check(report, "sec2-fsigma-involution", worst_inv)
+    _check(report, "sec2-fsigma-isometry", worst_iso)
     g = _gaussian(grid, 1.0)
-    _check(report, cfg, "sec2-fsigma-gaussian",
+    _check(report, "sec2-fsigma-gaussian",
            np.abs(symplectic_fourier(g).values - g.values).max())
     # quantization sanity for the configured T
     ctx = _context(cfg)
     one = GridFunction(grid, np.ones(grid.N ** grid.dim))
     A1 = quantize_T(ctx, one)
-    _check(report, cfg, "sec4-unit-symbol", np.abs(A1 - np.eye(grid.M)).max())
+    _check(report, "sec4-unit-symbol", np.abs(A1 - np.eye(grid.M)).max())
     a = _gaussian(grid, 1.2, tilt=0.3)
     lhs = quantize_T(ctx, a)
     rhs = quantize_weyl(ctx, lambda_transform(ctx, a))
-    _check(report, cfg, "thm-n4", _relative_residual(lhs, rhs))
+    _check(report, "thm-n4", _relative_residual(lhs, rhs))
     if cfg.n == 1:
         ctx_h = _context(cfg, T=np.diag([0.5, 0.5]))
         K = quantize_theta_tau_kernel(grid, 0.5, 0.5, a)
-        _check(report, cfg, "sec1-routes", _relative_residual(quantize_T(ctx_h, a), K))
+        _check(report, "sec1-routes", _relative_residual(quantize_T(ctx_h, a), K))
     return report
 
 
@@ -296,11 +282,11 @@ def _suite_verify_kato(cfg, report, rng):
     c = _gaussian(grid, 1.0, center=[0.0, 0.3] + [0.0] * (grid.dim - 2))
     pts = grid.points()
     chirp = np.exp(0.5j * 0.3 * pts[:, 0] * pts[:, 1]).reshape(b.values.shape)
-    for label, T in DEFAULT_SUITE_T:
-        ctx = _context(cfg, T=T)
-        _check(report, cfg, "thm-n14-a", kato_identity_residual(ctx, b, c),
+    ctxs = {label: _context(cfg, T=T) for label, T in DEFAULT_SUITE_T}
+    for label, ctx in ctxs.items():
+        _check(report, "thm-n14-a", kato_identity_residual(ctx, b, c),
                f"thm-n14-a[{label}]")
-        _check(report, cfg, "eq-K2", multiplier_identity_residual(ctx, b, c, chirp),
+        _check(report, "eq-K2", multiplier_identity_residual(ctx, b, c, chirp),
                f"eq-K2[{label}]")
         # scalar synthesis identity and positivity
         M = grid.M
@@ -309,13 +295,13 @@ def _suite_verify_kato(cfg, report, rng):
         G = np.outer(u, v.conj())
         BG = kato_synthesis(ctx, (lambda xi: np.ones(xi.shape[0])), G)
         want = np.sqrt(ctx.detS) * np.trace(G) * np.eye(M)
-        _check(report, cfg, "thm-n15-ii", _relative_residual(want, BG),
+        _check(report, "thm-n15-ii", _relative_residual(want, BG),
                f"thm-n15-ii[{label}]")
         Gp = np.outer(u, u.conj())
         BGp = kato_synthesis(ctx, b, Gp)
         mineig = np.linalg.eigvalsh(0.5 * (BGp + BGp.conj().T)).min()
         scale = np.linalg.norm(BGp)
-        _check(report, cfg, "thm-n15-i", max(0.0, -mineig) / scale,
+        _check(report, "thm-n15-i", max(0.0, -mineig) / scale,
                f"thm-n15-i[{label}]")
     # orthogonality relation at the configured N
     x = grid.axis
@@ -323,12 +309,11 @@ def _suite_verify_kato(cfg, report, rng):
     phi_v /= np.linalg.norm(phi_v)
     psi_v = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
     psi_v /= np.linalg.norm(psi_v)
-    for label, T in (("T=I/2", np.diag([0.5, 0.5])), ("T=I", np.eye(2)),
-                     ("T=diag(.3,.7)", np.diag([0.3, 0.7]))):
-        ctx = _context(cfg, T=T)
+    for label in ("T=I/2", "T=I", "T=diag(.3,.7)"):
+        ctx = ctxs[label]
         val = orthogonality_integral(ctx, phi_v, psi_v)
         want = np.sqrt(ctx.detS)
-        _check(report, cfg, "sec9-orthogonality", abs(val - want) / want,
+        _check(report, "sec9-orthogonality", abs(val - want) / want,
                f"sec9-orthogonality[{label}]")
     return report
 
@@ -341,7 +326,7 @@ def _suite_norms(cfg, report, rng):
     u = (np.exp(-(np.arange(N) - N // 2) ** 2 / 30.0)
          * np.exp(0.2j * (np.arange(N) - N // 2)))
     v = chirp_TA(-A, chirp_TA(A, u))
-    _check(report, cfg, "thm-n5-inverse", np.abs(v - u).max())
+    _check(report, "thm-n5-inverse", np.abs(v - u).max())
     sup_before = np.abs(_ord_ft(u.astype(complex))) > 1e-12
     sup_after = np.abs(_ord_ft(chirp_TA(A, u))) > 1e-12
     report.add("thm-n5-support", 0, 0,

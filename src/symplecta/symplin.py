@@ -87,8 +87,9 @@ def nondegeneracy_gate(space, T):
     witness = None
     if not nondeg:
         witness = np.linalg.svd(S)[2][-1] if S.any() else np.eye(space.dim)[0]
-    return GateResult(S=S, detS=float(np.linalg.det(S)), nondegenerate=nondeg,
-                      kernel_witness=witness)
+    with np.errstate(over="ignore"):  # det S of a huge finite S is inf
+        detS = float(np.linalg.det(S))
+    return GateResult(S=S, detS=detS, nondegenerate=nondeg, kernel_witness=witness)
 
 
 def symplectic_basis(space, Om):
@@ -96,14 +97,16 @@ def symplectic_basis(space, Om):
     Gram-Schmidt.
 
     Greedy pairing: take the first remaining vector u whose Om-pairing with
-    another remaining vector is nonzero, pick the partner v with the largest
-    |Om(u, v)| (ties to the lowest index), rescale so Om(u, v) matches the
-    target entry of J, and project the pair out of the rest.  Deterministic.
+    another remaining vector is nonzero relative to max|Om|, pick the partner
+    v with the largest |Om(u, v)| (ties to the lowest index), rescale so
+    Om(u, v) matches the target entry of J, and project the pair out of the
+    rest.  Deterministic.
     """
     Om = np.asarray(Om, dtype=float)
     d = space.dim
     if _singular(Om):
         raise ValueError("degenerate antisymmetric form")
+    scale = np.abs(Om).max()
 
     def pair(u, v):
         return float(u @ Om @ v)
@@ -114,7 +117,7 @@ def symplectic_basis(space, Om):
         u = remaining.pop(0)
         vals = [abs(pair(u, wv)) for wv in remaining]
         j = int(np.argmax(vals))
-        if vals[j] <= _RANK_RTOL:
+        if vals[j] <= _RANK_RTOL * scale:
             raise ValueError("form is degenerate on the working subspace")
         v = remaining.pop(j)
         # target: with columns ordered (a_1..a_n, b_1..b_n), J requires
@@ -141,17 +144,18 @@ def factor_sigma_symmetric(space, S):
     phi = B^{-1} where B is the symplectic basis of the antisymmetric form
     (u, v) -> sigma(u, S v) (matrix J S); then phi^T J phi = J S, equivalently
     phi^sigma phi = S.  The output is the deterministic Gram-Schmidt factor;
-    it is not unique and only the defining identity is contractual.
+    it is not unique and only the defining identity is contractual.  Both
+    checks are relative to max|S|, so a scalar multiple of S factors alike.
     """
     S = np.asarray(S, dtype=float)
-    Ssig = symplectic_adjoint(space, S)
-    if np.abs(S - Ssig).max() > 1e-10:
+    scale = np.abs(S).max()
+    if np.abs(S - symplectic_adjoint(space, S)).max() > 1e-10 * scale:
         raise ValueError("S is not sigma-symmetric")
     if _singular(S):
         raise ValueError("S is singular")
     B = symplectic_basis(space, space.J @ S)
     phi = np.linalg.inv(B)
     res = np.abs(symplectic_adjoint(space, phi) @ phi - S).max()
-    if res > 1e-9:
+    if res > 1e-9 * scale:
         raise ArithmeticError(f"factorization residual {res:.3e}")
     return phi

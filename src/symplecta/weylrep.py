@@ -68,11 +68,9 @@ def build_rep_context(space, T, grid):
         raise ValueError(
             "degenerate multiplier: T + T^sigma is singular; kernel witness "
             f"{np.array2string(gate.kernel_witness, precision=6)}")
-    phi = factor_sigma_symmetric(space, gate.S)
-    if np.abs(phi.T @ space.J @ phi - space.J @ gate.S).max() > 1e-9:
-        raise ArithmeticError("phi does not normalize the S-twisted form")
     if not 0 < gate.detS < np.inf:
         raise ArithmeticError(f"det S = {gate.detS:g} must be positive and finite")
+    phi = factor_sigma_symmetric(space, gate.S)
     return RepContext(space=space, T=T, phi=phi, detS=gate.detS, phase_grid=grid)
 
 

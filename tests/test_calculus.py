@@ -98,6 +98,16 @@ def test_symbol_recovery_of_identity_is_unit_symbol():
     assert np.abs(back.values - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("T, n, message", [
+    (0.5 * np.eye(4), 2, "symbol recovery is implemented for n = 1"),
+    (0.75 * np.eye(2), 1, "modulation scale must be a positive integer")],
+    ids=["n2", "scale-1.5"])
+def test_symbol_recovery_rejects_contexts_it_cannot_invert(T, n, message):
+    ctx = make_ctx(T, N=8, n=n)
+    with pytest.raises(ValueError, match=message):
+        recover_symbol(ctx, np.eye(ctx.phase_grid.M))
+
+
 def test_quantization_is_linear():
     ctx = make_ctx(SUITE_T["general"], N=16)
     a = gaussian(ctx.phase_grid, 1.0)

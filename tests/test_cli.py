@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from symplecta.calculus import read_operator
+from symplecta import cli
 from symplecta.cli import main
 from symplecta.grid import GridFunction, make_grid, write_grid_function
+from symplecta.weylrep import build_rep_context
 
 from conftest import set_workers
 
@@ -62,6 +64,18 @@ def test_verify_kato_suite_passes(tmp_path, capsys):
                 "sec9-orthogonality"):
         assert tag in csv
     assert ",false" not in csv
+
+
+def test_verify_kato_builds_each_suite_context_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(space, T, grid):
+        calls.append(np.asarray(T).tolist())
+        return build_rep_context(space, T, grid)
+
+    monkeypatch.setattr(cli, "build_rep_context", counted)
+    assert main(["verify", "--suite", "verify-kato", "--out", str(tmp_path)]) == 0
+    assert calls == [np.asarray(T).tolist() for _, T in cli.DEFAULT_SUITE_T]
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -199,23 +213,20 @@ def test_kato_report_reads_as_seven_column_csv(tmp_path):
     assert "thm-n14-a[T=diag(.3,.7)]" in {row["quantity"] for row in rows}
 
 
-def test_non_numeric_tolerance_exits_two(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, tolerances={"thm-n4": "abc"})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error: tolerances['thm-n4'] must be" in capsys.readouterr().err
-    assert not (tmp_path / "report-verify-core.csv").exists()
-
-
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "0", "-1e-3"])
-def test_tolerance_that_is_not_finite_and_positive_exits_two(tmp_path, capsys, bad):
-    # with T = I at N = 16, thm-n4 reads about 1e-2: an infinite bound would pass it
+# The bounds are the fixed cli.TOLERANCES: no override is accepted, not even
+# one that would pass the thm-n4 row that T = I fails at N = 32.
+@pytest.mark.parametrize("tolerances", [
+    '{"thm-n4": "abc"}', '{"thm-n4": NaN}', '{"thm-n4": Infinity}',
+    '{"thm-n4": -Infinity}', '{"thm-n4": 0}', '{"thm-n4": -1e-3}',
+    '{"thm-n44": 1e-3}', '{"thm-n4": 1e300}'],
+    ids=["abc", "NaN", "Infinity", "-Infinity", "0", "-1e-3", "unknown-tag", "1e300"])
+def test_tolerances_key_exits_two(tmp_path, capsys, tolerances):
     path = tmp_path / "cfg.json"
-    path.write_text('{"N": 16, "T": [[1, 0], [0, 1]], "tolerances": {"thm-n4": %s}}'
-                    % bad)
+    path.write_text('{"N": 32, "T": [[1, 0], [0, 1]], "tolerances": %s}' % tolerances)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert ("config error: tolerances['thm-n4'] must be a finite positive number"
+    assert ("config error: unknown config key(s) ['tolerances']"
             in capsys.readouterr().err)
-    assert not (tmp_path / "report-verify-core.csv").exists()
+    assert not list(tmp_path.glob("report-*"))
 
 
 def test_missing_symbol_file_exits_two(tmp_path, capsys):
@@ -301,7 +312,8 @@ def test_non_finite_T_exits_two(tmp_path, capsys, bad):
     ({"kind": "file", "path": 5}, "symbol.path"),
     ({"kind": "hermite-gaussian", "hermite_index": [1, 1, 1]},
      "symbol: hermite_index must have at most 2 entries"),
-    ({"center": [0.5]}, "symbol: center must have 2 entries")])
+    ({"center": [0.5]}, "symbol: center must have 2 entries"),
+    ({"colour": 1}, "unknown symbol fields ['colour']")])
 def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     cfg = write_cfg(tmp_path, N=16, symbol=symbol)
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -309,11 +321,12 @@ def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     assert not (tmp_path / "op-synthesis.txt").exists()
 
 
-def test_unknown_tolerance_tag_exits_two(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, tolerances={"thm-n44": 1e-3})
+@pytest.mark.parametrize("key", ["suite", "route"])
+def test_unknown_suite_or_route_in_the_config_exits_two(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, **{key: "bogus"})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error: unknown tolerance tag 'thm-n44'" in capsys.readouterr().err
-    assert not (tmp_path / "report-verify-core.csv").exists()
+    assert f"config error: unknown {key} 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report-*"))
 
 
 @pytest.mark.parametrize("out", [5, "", "below-a-file"])
@@ -329,20 +342,34 @@ def test_unusable_out_exits_two(tmp_path, capsys, out):
 CORE = ["verify", "--suite", "verify-core"]
 
 
-# S = 2e200*I has no finite det S, so no bound built on it may pass; S = 2e308*I
-# is not even finite.  None of these S is singular, so no kernel witness is given.
-@pytest.mark.parametrize("argv, scale", [
-    (CORE, 1e-8), (CORE, 1e200), (CORE, 1e300), (CORE, 1e308),
-    (["verify", "--suite", "bounds"], 1e200), (["report"], 1e200)],
-    ids=["1e-08", "1e+200", "1e+300", "1e+308", "bounds-1e+200", "report-1e+200"])
-def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, argv, scale):
+# S = 2e-300*I has det S = 0, and S = 2e200*I and 2e300*I have no finite det S, so
+# no bound built on them may pass; S = 2e308*I is not even finite.  S = 2e-12*I
+# and 2e-8*I are well conditioned: they build a context and its rows run.  None
+# of these S is singular, so no kernel witness is given.
+DET_INF = "det S = inf must be positive and finite"
+
+
+@pytest.mark.parametrize("argv, scale, err", [
+    (CORE, 1e-300, "det S = 0 must be positive and finite"), (CORE, 1e-12, None),
+    (CORE, 1e-8, None), (CORE, 1e200, DET_INF), (CORE, 1e300, DET_INF),
+    (CORE, 1e308, "S = T + T^sigma is not finite"),
+    (["verify", "--suite", "bounds"], 1e200, DET_INF), (["report"], 1e200, DET_INF)],
+    ids=["1e-300", "1e-12", "1e-08", "1e+200", "1e+300", "1e+308", "bounds-1e+200",
+         "report-1e+200"])
+def test_extreme_scalar_T_ends_in_a_verification_failure(tmp_path, capsys, argv,
+                                                         scale, err):
     cfg = write_cfg(tmp_path, T=(scale * np.eye(2)).tolist())
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "witness" not in captured.err
-    assert "FAIL" in captured.out or "verification failure" in captured.err
+    if err is None:
+        assert "FAIL" in captured.out
+    else:
+        assert f"verification failure: {err}" in captured.err
 
 
 def test_overflowing_S_is_reported_as_not_finite(tmp_path, capsys):

@@ -41,6 +41,12 @@ def test_verify_reports_match_the_golden_bytes(tmp_path, suite):
     assert_golden(tmp_path, f"report-{suite}")
 
 
+def test_integral_float_N_runs_as_the_integer(tmp_path):
+    cfg = write_cfg(tmp_path, N=32.0)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--json"]) == 0
+    assert_golden(tmp_path, "report-verify-core")
+
+
 @pytest.mark.parametrize("suite", ["verify-core", "verify-kato", "norms", "bounds"])
 def test_n64_verify_reports_match_the_golden_bytes(tmp_path, suite):
     cfg = write_cfg(tmp_path, N=64)

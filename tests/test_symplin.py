@@ -110,6 +110,16 @@ def test_factorization_of_scaled_identity_is_lattice_compatible():
     assert np.abs(phi - np.rint(phi)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("scale", [2e-12, 2e200, 2e300])
+def test_factorization_is_scale_free(n, scale):
+    # every threshold is relative to max|S|, so a tiny or huge multiple of I factors
+    sp = SymplecticSpace(n)
+    S = scale * np.eye(sp.dim)
+    phi = factor_sigma_symmetric(sp, S)
+    assert np.abs(symplectic_adjoint(sp, phi) @ phi - S).max() <= 1e-9 * scale
+
+
 def test_factorization_rejects_asymmetric_input():
     sp = SymplecticSpace(1)
     with pytest.raises(ValueError):
