@@ -114,7 +114,7 @@ def recover_symbol(ctx, A):
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
     N, pts = grid.N, grid.points()
-    g = _analyze(grid, pts, phi, A).reshape(N, N) / N
+    g = _analyze(grid, phi, A).reshape(N, N) / N
     if s > 1:
         g[:, np.abs(np.arange(N) - N // 2) >= N // (2 * s)] = 0.0
     lam = ctx.lam_values(pts).reshape(N, N)
@@ -126,10 +126,11 @@ def recover_symbol(ctx, A):
 # ---------------------------------------------------------------------------
 
 def write_operator(A, path):
+    """Write A to path; return the bytes written."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be a square matrix")
-    _write_rows(path, f"symplecta-op v1, M={A.shape[0]}", A)
+    return _write_rows(path, f"symplecta-op v1, M={A.shape[0]}", A)
 
 
 def read_operator(path):

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -446,8 +445,7 @@ def cmd_quantize(cfg):
     }
     with _writing_out(cfg):
         os.makedirs(cfg.out, exist_ok=True)
-        write_operator(A, op_path)
-        provenance["sha256"] = hashlib.sha256(Path(op_path).read_bytes()).hexdigest()
+        provenance["sha256"] = hashlib.sha256(write_operator(A, op_path)).hexdigest()
         _write_json(os.path.join(cfg.out, f"op-{cfg.route}.json"), provenance)
     print(f"quantize[{cfg.route}]: wrote {op_path}")
     return 0

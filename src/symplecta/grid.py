@@ -10,6 +10,8 @@ Index order is lexicographic with the x-axes before the p-axes; for n=1 a
 GridFunction's values array is indexed values[x, p].
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,15 +392,83 @@ def sigma_convolve(b, c):
 
 
 # ---------------------------------------------------------------------------
+# kernel plans: the tables of a sum over the grid that depend only on the grid
+# and the linear map, kept read-only and reused across calls
+# ---------------------------------------------------------------------------
+
+_PLAN_ENTRIES = 8  # plans kept per cache
+_PLAN_BYTES = 1 << 25  # array bytes kept per cache; a larger plan is not kept
+
+
+def _freeze(plan):
+    """Mark every array of a nested tuple read-only; return their total bytes."""
+    if isinstance(plan, np.ndarray):
+        plan.setflags(write=False)
+        return plan.nbytes
+    return sum(map(_freeze, plan)) if isinstance(plan, tuple) else 0
+
+
+class _PlanCache:
+    """At most `entries` plans of at most `nbytes` array bytes in all, the
+    least recently used evicted first.  A plan is a nested tuple of read-only
+    arrays (and plain values) that holds tables only, never a result."""
+
+    def __init__(self, entries, nbytes):
+        self.entries, self.nbytes = entries, nbytes
+        self._plans = OrderedDict()  # key -> (plan, bytes)
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._plans)
+
+    def total_bytes(self):
+        return sum(size for _, size in self._plans.values())
+
+    def get(self, key):
+        with self._lock:
+            hit = self._plans.get(key)
+            if hit is None:
+                return None
+            self._plans.move_to_end(key)
+            return hit[0]
+
+    def put(self, key, plan):
+        """Keep plan under key, made read-only, unless it exceeds nbytes."""
+        size = _freeze(plan)
+        if size > self.nbytes:
+            return
+        with self._lock:
+            self._plans[key] = (plan, size)
+            self._plans.move_to_end(key)
+            while len(self._plans) > self.entries or self.total_bytes() > self.nbytes:
+                self._plans.popitem(last=False)
+
+    def fetch(self, key, build):
+        """The plan under key, built by build() and kept on a miss."""
+        plan = self.get(key)
+        if plan is None:
+            plan = build()
+            self.put(key, plan)
+        return plan
+
+    def clear(self):
+        with self._lock:
+            self._plans.clear()
+
+
+# ---------------------------------------------------------------------------
 # text codec of grid and operator files: one header line, then one `re,im`
 # row per complex value, written by repr so that reads are bit-exact
 # ---------------------------------------------------------------------------
 
 def _write_rows(path, header, values):
+    """Write the file and return the bytes written."""
     v = np.asarray(values, dtype=complex).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + "".join(
-            f"{re!r},{im!r}\n" for re, im in zip(v.real.tolist(), v.imag.tolist())))
+    body = ("%r,%r\n" * v.size) % tuple(v.view(float).tolist())
+    data = (header + "\n" + body).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def _read_rows(path, magic, keys, count):

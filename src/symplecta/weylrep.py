@@ -15,14 +15,24 @@ U(xi) = W_tilde(S^{-1} xi).
 One chunked kernel serves every sum over W_std(A xi): _shift_chunks groups the
 points by shift and modulation, _synthesize sums g(xi) W_std(phi xi) over them
 and _analyze, its exact adjoint, takes tr(W_std(A xi)^* B) at each of them.
+
+The chunks over the whole phase grid depend on the grid and A only, so they
+are built once per (grid, bytes of A, _CHUNK_ELEMS), on first use, and kept
+read-only in the module's shift-plan cache: at most 8 plans of 32 MiB in all,
+the least recently used evicted first.  A plan that outgrows 32 MiB while it
+is built is streamed chunk by chunk and not kept.  A diagonal map's plan is
+0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or N = 16 (n = 2); a
+coupled n = 2 map at N = 16 takes up to 246 MiB and is never kept.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import MultiplierContext, coboundary
-from .grid import GridFunction, PhaseGrid, _centred_diagonals, _ord_ift
+from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
+                   _centred_diagonals, _ord_ift)
 from .symplin import factor_sigma_symmetric, nondegeneracy_gate
 
 
@@ -34,18 +44,23 @@ ConfigGrid = PhaseGrid
 
 @dataclass(frozen=True)
 class RepContext(MultiplierContext):
-    """A prepared representation: the multiplier data of T (with S = T + T^sigma),
-    the normalizing phi, det S and the phase grid."""
+    """A prepared representation: the multiplier data of T with S = T + T^sigma
+    as the nondegeneracy gate computed it, the normalizing phi, det S and the
+    phase grid."""
 
+    S: np.ndarray
     phi: np.ndarray
     detS: float
     phase_grid: PhaseGrid
 
-    @property
+    def __post_init__(self):
+        pass  # S is given, not derived from T a second time
+
+    @functools.cached_property
     def Sinv(self):
         return np.linalg.inv(self.S)
 
-    @property
+    @functools.cached_property
     def A(self):
         """phi S^{-1}: U(xi) = W_std(A xi)."""
         return self.phi @ self.Sinv
@@ -71,7 +86,8 @@ def build_rep_context(space, T, grid):
     if not 0 < gate.detS < np.inf:
         raise ArithmeticError(f"det S = {gate.detS:g} must be positive and finite")
     phi = factor_sigma_symmetric(space, gate.S)
-    return RepContext(space=space, T=T, phi=phi, detS=gate.detS, phase_grid=grid)
+    return RepContext(space=space, T=T, S=gate.S, phi=phi, detS=gate.detS,
+                      phase_grid=grid)
 
 
 def weyl_standard(grid, xi):
@@ -169,6 +185,32 @@ def _shift_chunks(grid, pts, A):
         y0 = y1
 
 
+_SHIFT_PLANS = _PlanCache(_PLAN_ENTRIES, _PLAN_BYTES)
+
+
+def _grid_chunks(grid, A):
+    """The chunks of _shift_chunks over the whole phase grid, without R: from
+    the shift-plan cache, or built as they are consumed and then kept if they
+    fit."""
+    A = np.asarray(A, dtype=float)
+    key = (grid, A.tobytes(), _CHUNK_ELEMS)
+    plan = _SHIFT_PLANS.get(key)
+    if plan is not None:
+        yield from plan
+        return
+    kept, size = [], 0
+    for chunk in _shift_chunks(grid, grid.points(), A):
+        chunk = chunk[:-1]
+        size += sum(a.nbytes for a in chunk)
+        if kept is not None and size <= _SHIFT_PLANS.nbytes:
+            kept.append(chunk)
+        else:
+            kept = None
+        yield chunk
+    if kept is not None:
+        _SHIFT_PLANS.put(key, tuple(kept))
+
+
 def _synthesize(ctx, g_flat):
     """sum_xi g(xi) W_std(phi xi) over the phase grid, for any n and phi.
 
@@ -179,23 +221,23 @@ def _synthesize(ctx, g_flat):
     """
     grid = ctx.phase_grid
     G = np.zeros((grid.M, grid.M), complex)
-    for sel, ip, iy, phase, E, C, _ in _shift_chunks(grid, grid.points(), ctx.phi):
+    for sel, ip, iy, phase, E, C in _grid_chunks(grid, ctx.phi):
         Gm = np.zeros((E.shape[1], C.shape[0]), complex)
         Gm[ip, iy] = g_flat[sel] * phase
         G += E @ (Gm @ C)
     return _centred_diagonals(G, grid.n, grid.N)
 
 
-def _analyze(grid, pts, A, B):
-    """tr(W_std(A xi)^* B) at every point: the adjoint of the synthesis.
+def _analyze(grid, A, B):
+    """tr(W_std(A xi)^* B) at every grid point: the adjoint of the synthesis.
 
     With D the centred diagonals of B, the value at xi is
     (E^* D C^*)[p, y] e^{i<y, p>/2}, so vdot(sum_xi g W_std(A xi), B) equals
-    vdot(g, _analyze(grid, pts, A, B)) for every n and A.
+    vdot(g, _analyze(grid, A, B)) for every n and A.
     """
     D = _centred_diagonals(np.asarray(B, dtype=complex), grid.n, grid.N)
-    out = np.empty(len(pts), complex)
-    for sel, ip, iy, phase, E, C, _ in _shift_chunks(grid, pts, A):
+    out = np.empty(grid.N ** grid.dim, complex)
+    for sel, ip, iy, phase, E, C in _grid_chunks(grid, A):
         out[sel] = (E.conj().T @ D @ C.conj().T)[ip, iy] * phase.conj()
     return out
 
@@ -206,8 +248,7 @@ def orthogonality_integral(ctx, phi_v, psi_v):
     For unit vectors this approximates (det S)^{1/2} ||phi||^2 ||psi||^2.
     Each coefficient is conj(tr(U(xi)^* phi_v psi_v^*)), U(xi) = W_std(phi S^{-1} xi).
     """
-    vals = _analyze(ctx.phase_grid, ctx.phase_grid.points(), ctx.A,
-                    np.outer(phi_v, np.conj(psi_v)))
+    vals = _analyze(ctx.phase_grid, ctx.A, np.outer(phi_v, np.conj(psi_v)))
     return float(np.sum(np.abs(vals) ** 2)) * ctx.phase_grid.weight
 
 
@@ -215,6 +256,5 @@ def matrix_coefficient(ctx, phi_v, psi_v):
     """Sample w(xi) = <phi_v, W(xi) psi_v> = lam(xi) conj(tr(W_std(phi xi)^*
     phi_v psi_v^*)) over the whole phase grid; no unitary is materialized."""
     grid = ctx.phase_grid
-    pts = grid.points()
-    vals = _analyze(grid, pts, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
-    return GridFunction(grid, ctx.lam_values(pts) * np.conj(vals))
+    vals = _analyze(grid, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
+    return GridFunction(grid, ctx.lam_values(grid.points()) * np.conj(vals))

@@ -6,7 +6,7 @@ import pytest
 from symplecta.grid import _centred_roll, _gauss_hermite, _lattice_points, _spec_params
 from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
 from symplecta.symplin import SymplecticSpace
-from symplecta import weylrep
+from symplecta import katoschatten, weylrep
 from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
 
 SUITE_T = {
@@ -26,6 +26,14 @@ MIXED_T2 = 0.5 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 
 DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
                       + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
                          pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
+
+
+@pytest.fixture(autouse=True)
+def empty_plan_caches():
+    """Start every test with empty kernel-plan caches, so that no plan built
+    by an earlier test hides a build that a test counts."""
+    weylrep._SHIFT_PLANS.clear()
+    katoschatten._AMBIGUITY_PLANS.clear()
 
 
 def set_workers(monkeypatch, k):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian
-from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, _spec_params,
+from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, _spec_params, _write_rows,
                             apply_multiplier, make_grid, pullback, read_grid_function, sample_symbol,
                             sigma_convolve, symplectic_fourier, translate,
                             write_grid_function)
@@ -230,6 +230,24 @@ def test_grid_file_round_trip(tmp_path):
     back = read_grid_function(path)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_row_writer_matches_the_per_row_formatter(tmp_path):
+    # one format pass over the interleaved floats writes the bytes that one
+    # f-string per row wrote: signed zero, the smallest subnormal, the
+    # largest exponents, both sides of the switch to exponent notation at
+    # 1e16, and random exponents in +-300
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e15, 1e16, -1e16, 0.1]
+    r = np.random.default_rng(5)
+    rand = r.standard_normal(200) * 10.0 ** r.integers(-300, 301, 200)
+    re = np.concatenate([special, rand])
+    v = np.empty(len(re), complex)
+    v.real, v.imag = re, np.roll(re, 7)
+    want = "h, M=3\n" + "".join(f"{a!r},{b!r}\n"
+                                for a, b in zip(v.real.tolist(), v.imag.tolist()))
+    path = tmp_path / "rows.txt"
+    data = _write_rows(path, "h, M=3", v)
+    assert data == want.encode("utf-8") and path.read_bytes() == data
 
 
 def test_grid_file_rejects_foreign_header(tmp_path):
