@@ -56,8 +56,8 @@ from .calculus import quantize_T
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
                    _centred_roll, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
-from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
-from .weylrep import _shift_chunks, matrix_coefficient, u_conjugator
+from .spaces import WeightSpec, WindowSpec, product_modulation_norms, sobolev_k_norm
+from .weylrep import _shift_chunks, _shift_groups, matrix_coefficient, u_conjugator
 
 
 @dataclass
@@ -116,7 +116,8 @@ def _accumulate(ctx, pts, bv, G):
     Fh = F.conj().T
     Ghat = F @ G @ Fh
     acc = np.zeros_like(G)
-    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.phase_grid, pts, ctx.A):
+    groups = _shift_groups(ctx.phase_grid, pts, ctx.A)
+    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.phase_grid, groups):
         bounds = np.searchsorted(iy, np.arange(len(R) + 1))
         for r, lo, hi in zip(R, bounds[:-1], bounds[1:]):
             X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
@@ -361,21 +362,29 @@ class NormReport:
 
 
 def _gauss_family(grid, count):
-    """Deterministic dilated/modulated Gaussian calibration family."""
+    """Deterministic dilated/modulated Gaussian calibration family: each
+    member with its 1-D factors on the grid axis, member = outer product of
+    the factors."""
     out = []
+    x = grid.axis
     for i in range(count):
+        width = 1.0 + 0.06 * i
         center = 0.3 * np.array([np.cos(0.7 * i), np.sin(0.7 * i)] * grid.n)[:grid.dim]
         freq = 0.4 * np.array([np.sin(1.1 * i), np.cos(1.1 * i)] * grid.n)[:grid.dim]
-        out.append(_gaussian(grid, 1.0 + 0.06 * i, center, freq=freq))
+        factors = [np.exp(-(x - c) ** 2 / (2 * width ** 2)) * np.exp(1j * f * x)
+                   for c, f in zip(center, freq)]
+        out.append((_gaussian(grid, width, center, freq=freq), factors))
     return out
 
 
 def modulation_schatten_rows(ctx, report, window, count=10):
     """Rows for the Schatten-vs-modulation bound over the calibration family;
-    returns the singular values of each member's Op_T."""
+    returns the singular values of each member's Op_T.  The members are
+    products, so their modulation norms are products of 1-D norms."""
     fam = _gauss_family(ctx.phase_grid, count)
-    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a in fam]
-    mnorms = [modulation_norms(a, window, [(1, 1), (2, 1)]) for a in fam]
+    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a, _ in fam]
+    mnorms = [product_modulation_norms(factors, window, [(1, 1), (2, 1)])
+              for _, factors in fam]
     for p in (1, 2):
         for sv, mn in zip(svals, mnorms):
             sn = _schatten(sv, p)
@@ -427,7 +436,7 @@ def interpolation_rows(ctx, report, svals):
     for p in (1, 2):
         s = 2 * 1.25 * n * abs(1 - 2.0 / p)
         k = WeightSpec(((ctx.phase_grid.dim, s),)) if s > 0 else None
-        for a, sv in zip(fam, svals):
+        for (a, _), sv in zip(fam, svals):
             sn = _schatten(sv, p)
             if k is None:
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2

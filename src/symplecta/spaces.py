@@ -2,6 +2,10 @@
 polynomially controlled weights, weighted Sobolev norms, and symbol-class
 seminorms.
 
+Modulation norms of a tensor product u = f_0 x ... x f_{d-1} under a product
+window are products of 1-D norms (product_modulation_norms); every other input
+takes the d-dimensional sliding-window pass of modulation_norms.
+
 All operations act on complex arrays sampled on centered self-dual lattices
 (spacing h = sqrt(2pi/N) per axis, any dimension d); GridFunction inputs are
 accepted and unwrapped.  Lebesgue quadrature weight h^d is used for L^p sums
@@ -236,23 +240,52 @@ def _stft_lp(uvals, factors, ps):
     return out
 
 
+def _position_exponents(pairs):
+    """The distinct position exponents p of the (p, q) pairs, ascending;
+    ValueError for an exponent outside (0, inf]."""
+    for p, q in pairs:
+        _check_exponent("p", p)
+        _check_exponent("q", q)
+    return sorted({p for p, _ in pairs}, key=float)
+
+
 def modulation_norms(u, window, pairs):
     """Modulation norms for several (p, q) pairs sharing one analysis pass.
 
     The window must have a diagonal covariance, so that it factors over the
     axes; any one window gives an equivalent norm.
     """
-    for p, q in pairs:
-        _check_exponent("p", p)
-        _check_exponent("q", q)
+    ps = _position_exponents(pairs)
     uvals = _values(u)
     d = uvals.ndim
     N = uvals.shape[0]
     h = _spacing(uvals)
-    ps = sorted({p for p, _ in pairs}, key=float)
     slices = _stft_lp(uvals, _window_factors(window, d, N), ps)
     return {(p, q): float(_lp_rows(slices[p][None], q, h ** d)[0])
             for p, q in pairs}
+
+
+def product_modulation_norms(factors, window, pairs):
+    """modulation_norms of the product u = f_0 x ... x f_{d-1}, from its 1-D
+    factors f_a on the centered axis.
+
+    With the window chi = chi_0 x ... x chi_{d-1}, the sliding-window
+    transform of u is the product of those of the f_a against the chi_a, so
+    each mixed L^p-then-L^q norm over (x, xi) is the product of the factors'
+    norms: d 1-D transforms replace one d-dimensional one.
+    """
+    ps = _position_exponents(pairs)
+    factors = [_values(f) for f in factors]
+    if not factors or any(f.ndim != 1 or f.shape != factors[0].shape for f in factors):
+        raise ValueError("factors must be 1-D arrays of one length")
+    N = len(factors[0])
+    h = _lattice_spacing(N)
+    out = dict.fromkeys(pairs, 1.0)
+    for f, chi in zip(factors, _window_factors(window, len(factors), N)):
+        slices = _stft_lp(f, chi[None], ps)
+        for p, q in pairs:
+            out[(p, q)] *= float(_lp_rows(slices[p][None], q, h)[0])
+    return out
 
 
 def modulation_norm(u, window, p, q):

@@ -12,17 +12,22 @@ symplectomorphism phi normalizing the form built from S = T + T^sigma, and
 W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi).  The conjugators are
 U(xi) = W_tilde(S^{-1} xi).
 
-One chunked kernel serves every sum over W_std(A xi): _shift_chunks groups the
-points by shift and modulation, _synthesize sums g(xi) W_std(phi xi) over them
-and _analyze, its exact adjoint, takes tr(W_std(A xi)^* B) at each of them.
+One chunked kernel serves every sum over W_std(A xi): _shift_groups groups the
+points by shift and modulation, _shift_chunks cuts the groups into chunks,
+_synthesize sums g(xi) W_std(phi xi) over them and _analyze, its exact
+adjoint, takes tr(W_std(A xi)^* B) at each of them.
 
 The chunks over the whole phase grid depend on the grid and A only, so they
 are built once per (grid, bytes of A, _CHUNK_ELEMS), on first use, and kept
 read-only in the module's shift-plan cache: at most 8 plans of 32 MiB in all,
-the least recently used evicted first.  A plan that outgrows 32 MiB while it
-is built is streamed chunk by chunk and not kept.  A diagonal map's plan is
-0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or N = 16 (n = 2); a
-coupled n = 2 map at N = 16 takes up to 246 MiB and is never kept.
+the least recently used evicted first.  A plan that cannot fit is streamed
+chunk by chunk and not kept: before the first chunk is built, its size is
+bounded below from the counts of points, distinct shifts and distinct
+modulations, and a plan whose bound exceeds 32 MiB holds no chunk; one that
+outgrows 32 MiB while it is built drops those it holds.  A diagonal map's
+plan is 0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or N = 16 (n = 2);
+a coupled n = 2 map at N = 16 takes up to 246 MiB (bounded below by
+34.5 MiB) and is never kept.
 """
 
 import functools
@@ -149,13 +154,31 @@ def _distinct_rows(a):
 _CHUNK_ELEMS = 1 << 22  # element budget of one chunk of _shift_chunks
 
 
-def _shift_chunks(grid, pts, A):
-    """Chunks of whole shift groups of the points, for W_std(A xi).
+def _shift_groups(grid, pts, A):
+    """(ys, iy, ps, ip): with (y, p) = A xi over the points, the distinct y
+    and p and each point's index into them, grouped by exact equality, which
+    assumes nothing about A."""
+    n = grid.n
+    eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
+    return _distinct_rows(eta[:, :n]) + _distinct_rows(eta[:, n:])
+
+
+def _plan_bytes_floor(grid, groups):
+    """A lower bound on the array bytes of the chunks of _shift_chunks over
+    groups, without R: 40 per point (sel, ip, iy, phase), and 16 M per
+    distinct y (its row of C) and per distinct p (a column of E in at least
+    one chunk)."""
+    ys, iy, ps, _ = groups
+    return 40 * len(iy) + 16 * grid.M * (len(ys) + len(ps))
+
+
+def _shift_chunks(grid, groups):
+    """Chunks of whole shift groups of the points, for W_std(A xi), from
+    their _shift_groups.
 
     With (y, p) = A xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
     the self-dual grid Shift(y) = F^* diag(r_y) F, r_y = e^{-i<k, y>}, is
     circulant: Shift(y)[a, b] = c_y[a - b] per axis mod N, for every real y.
-    y and p are grouped by exact equality, which assumes nothing about A.
     Each chunk yields (sel, ip, iy, phase, E, C, R): its points sel, their
     columns ip of E = e^{i x p^T} over the chunk's distinct p, their rows iy
     of C[y] = c_y (centred order) and R[y] = r_y, and e^{-i<y, p>/2}.  A chunk
@@ -164,9 +187,7 @@ def _shift_chunks(grid, pts, A):
     """
     n, N, M = grid.n, grid.N, grid.M
     x = grid.coords()
-    eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
-    ys, iy = _distinct_rows(eta[:, :n])
-    ps, ip = _distinct_rows(eta[:, n:])
+    ys, iy, ps, ip = groups
     order = np.argsort(iy, kind="stable")
     starts = np.searchsorted(iy[order], np.arange(len(ys) + 1))
     max_y = max(1, min(M, _CHUNK_ELEMS // M))
@@ -191,15 +212,18 @@ _SHIFT_PLANS = _PlanCache(_PLAN_ENTRIES, _PLAN_BYTES)
 def _grid_chunks(grid, A):
     """The chunks of _shift_chunks over the whole phase grid, without R: from
     the shift-plan cache, or built as they are consumed and then kept if they
-    fit."""
+    fit.  A plan whose _plan_bytes_floor already exceeds the cache is streamed
+    without holding a chunk."""
     A = np.asarray(A, dtype=float)
     key = (grid, A.tobytes(), _CHUNK_ELEMS)
     plan = _SHIFT_PLANS.get(key)
     if plan is not None:
         yield from plan
         return
-    kept, size = [], 0
-    for chunk in _shift_chunks(grid, grid.points(), A):
+    groups = _shift_groups(grid, grid.points(), A)
+    kept = [] if _plan_bytes_floor(grid, groups) <= _SHIFT_PLANS.nbytes else None
+    size = 0
+    for chunk in _shift_chunks(grid, groups):
         chunk = chunk[:-1]
         size += sum(a.nbytes for a in chunk)
         if kept is not None and size <= _SHIFT_PLANS.nbytes:

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
-from symplecta import katoschatten
+from symplecta import katoschatten, spaces
 from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
 from symplecta.katoschatten import (NormReport, _cell_reps, _relative_residual, bound_suite,
                                     conjugation_coefficient_residual,
@@ -314,3 +316,27 @@ def test_bound_suite_smoke_and_refreeze():
                        synthesis_count=4)
     assert rep2.all_passed()
     assert rep2.frozen_constants == rep.frozen_constants
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+def test_bound_suite_takes_no_multidimensional_stft(monkeypatch, n, N):
+    # the calibration members are products: their modulation norms come from
+    # 1-D passes, one per axis, never from the d-dimensional one
+    ndims, stft_lp = [], spaces._stft_lp
+
+    def spy(uvals, *args):
+        ndims.append(np.ndim(uvals))
+        return stft_lp(uvals, *args)
+
+    monkeypatch.setattr(spaces, "_stft_lp", spy)
+    bound_suite(make_ctx(0.5 * np.eye(2 * n), N=N, n=n), synthesis_count=4)
+    assert ndims == [1] * (10 * 2 * n)
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (1, 32), (2, 8)])
+def test_family_factors_multiply_to_the_members(n, N):
+    for member, factors in katoschatten._gauss_family(make_grid(n, N), 10):
+        outer = functools.reduce(np.multiply.outer, factors)
+        vals = member.values
+        assert outer.shape == vals.shape
+        assert np.abs(outer - vals).max() <= 1e-15 * np.abs(vals).max()

@@ -1,3 +1,4 @@
+import functools
 import threading
 
 import numpy as np
@@ -7,8 +8,8 @@ from symplecta import spaces
 from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
                               _fd_derivatives, _stft_lp, _window_factors, chirp_TA,
                               dilation_ratio, embedding_bound, modulation_norm,
-                              modulation_norms, sobolev_k_norm, symbol_class_seminorms,
-                              trig_resample, window_values)
+                              modulation_norms, product_modulation_norms, sobolev_k_norm,
+                              symbol_class_seminorms, trig_resample, window_values)
 
 from conftest import dense_modulation_norms, dense_stft_lp, dense_window, set_workers
 
@@ -241,6 +242,57 @@ def test_modulation_norms_reject_exponents_outside_zero_inf(p, q):
         modulation_norms(u, WindowSpec(), [(1, 1), (p, q)])
     with pytest.raises(ValueError, match=f"exponent {bad} ="):
         modulation_norm(u, WindowSpec(), p, q)
+
+
+# (d, N) of the product-rule cases: every d-dimensional pass at d = 2, and
+# d = 4 at the N of the n = 2 report
+PRODUCT_CASES = [(2, 16), (2, 40), (2, 64), (4, 8)]
+PRODUCT_PAIRS = [(p, q) for p in (1, 2, 3, np.inf) for q in (1, 2, 3, np.inf)]
+
+
+def product_factors(N, d):
+    """d different off-centre, modulated 1-D Gaussians plus complex noise."""
+    noise = np.random.default_rng(d * N).standard_normal((2, d, N))
+    return [gauss1d(N, 0.9 + 0.15 * a, center=0.3 - 0.2 * a, freq=0.5 - 0.3 * a)
+            + 0.01 * (noise[0, a] + 1j * noise[1, a]) for a in range(d)]
+
+
+def product_windows(d):
+    return [WindowSpec(),
+            WindowSpec(kind="hermite-gaussian", center=tuple(0.4 - 0.3 * np.arange(d)),
+                       covariance=tuple(1.3 - 0.2 * np.arange(d)),
+                       hermite_index=(1,) * d)]
+
+
+@pytest.mark.parametrize("d, N", PRODUCT_CASES)
+def test_product_path_matches_the_full_pass(d, N):
+    factors = product_factors(N, d)
+    u = functools.reduce(np.multiply.outer, factors)
+    for window in product_windows(d):
+        got = product_modulation_norms(factors, window, PRODUCT_PAIRS)
+        want = modulation_norms(u, window, PRODUCT_PAIRS)
+        assert got.keys() == want.keys()
+        for pq in PRODUCT_PAIRS:
+            assert abs(got[pq] - want[pq]) <= 1e-14 * want[pq], (window.kind, pq)
+
+
+def test_product_path_rejects_a_full_covariance_window():
+    full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
+    with pytest.raises(ValueError, match="window covariance must be diagonal"):
+        product_modulation_norms(product_factors(16, 2), full, PRODUCT_PAIRS)
+
+
+@pytest.mark.parametrize("p, q", BAD_EXPONENTS)
+def test_product_path_rejects_the_exponents_the_full_pass_rejects(p, q):
+    bad = "p" if not 0 < p <= np.inf else "q"
+    with pytest.raises(ValueError, match=f"exponent {bad} ="):
+        product_modulation_norms(product_factors(16, 2), WindowSpec(), [(1, 1), (p, q)])
+
+
+def test_product_path_needs_1d_factors_of_one_length():
+    for factors in ([], [gauss1d(16), gauss1d(18)], [np.ones((16, 16))]):
+        with pytest.raises(ValueError, match="factors must be 1-D arrays of one length"):
+            product_modulation_norms(factors, WindowSpec(), [(1, 1)])
 
 
 @pytest.mark.parametrize("p", [0, -1, np.nan])

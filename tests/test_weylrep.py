@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, count_shift_chunks,
                       make_ctx, unit_gaussians_1d)
+from symplecta import weylrep
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
 from symplecta.grid import GridFunction
 from symplecta.symplin import SymplecticSpace
@@ -162,3 +165,36 @@ def test_distinct_rows_match_numpy_unique():
     want, want_inv = np.unique(rows, axis=0, return_inverse=True)
     got, inv = _distinct_rows(rows)
     assert np.array_equal(got, want) and np.array_equal(inv, want_inv.ravel())
+
+
+@pytest.mark.parametrize("T, n, N", [pytest.param(SUITE_T[k], 1, 16, id=k)
+                                     for k in sorted(SUITE_T)]
+                         + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
+                            pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
+def test_plan_bytes_floor_is_a_lower_bound(T, n, N):
+    ctx = make_ctx(T, N=N, n=n)
+    grid = ctx.phase_grid
+    for A in (ctx.phi, ctx.A):
+        groups = weylrep._shift_groups(grid, grid.points(), A)
+        size = sum(a.nbytes for chunk in weylrep._shift_chunks(grid, groups)
+                   for a in chunk[:-1])
+        assert 0 < weylrep._plan_bytes_floor(grid, groups) <= size
+
+
+def test_a_plan_whose_floor_exceeds_the_cache_holds_no_chunk():
+    # MIXED_T2 at n = 2, N = 16: phi's plan is 246 MiB in 16 chunks of 9 MiB
+    # and more; its floor, 34.5 MiB, is over the 32 MiB of the cache, so the
+    # first chunk is gone once the second is built
+    ctx = make_ctx(MIXED_T2, N=16, n=2)
+    grid = ctx.phase_grid
+    groups = weylrep._shift_groups(grid, grid.points(), ctx.phi)
+    assert weylrep._plan_bytes_floor(grid, groups) > weylrep._SHIFT_PLANS.nbytes
+    chunks = weylrep._grid_chunks(grid, ctx.phi)
+    first = next(chunks)
+    assert first[4].nbytes < weylrep._SHIFT_PLANS.nbytes
+    E = weakref.ref(first[4])
+    del first
+    next(chunks)
+    assert E() is None
+    chunks.close()
+    assert len(weylrep._SHIFT_PLANS) == 0
