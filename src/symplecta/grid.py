@@ -90,14 +90,20 @@ def _centred_diagonals(A, n, N):
 
 def _covariance_matrix(covariance, d):
     """The d x d covariance of a symbol or window spec: identity when empty,
-    per-axis widths when of length d, else row-major; ValueError when it is
+    per-axis widths when of length d, else row-major; ValueError naming it
+    unless it is finite, symmetric and positive definite, or when it is
     ill-conditioned."""
     if len(covariance) == 0:
         return np.eye(d)
     cov = np.asarray(covariance, dtype=float)
-    cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
+    with np.errstate(over="ignore"):
+        cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
+    if not (np.isfinite(cov).all() and np.array_equal(cov, cov.T)
+            and np.linalg.eigvalsh(cov)[0] > 0):
+        raise ValueError(f"covariance {tuple(covariance)} is not a finite symmetric "
+                         "positive definite matrix")
     if np.linalg.cond(cov) > 1e8:
-        raise ValueError("ill-conditioned covariance")
+        raise ValueError(f"ill-conditioned covariance {tuple(covariance)}")
     return cov
 
 
@@ -242,13 +248,14 @@ def sample_symbol(spec, grid):
     d = grid.dim
     center, cov, hermite = _spec_params(spec, d)
     z = grid.points() - center
-    vals = _gauss_hermite(z, cov, hermite).astype(complex)
-    if spec.kind == "polynomial-times-gaussian":
-        coeffs = spec.poly_coeffs if spec.poly_coeffs else (0.0,)
-        vals *= np.polyval(list(coeffs)[::-1], z[:, 0])
-    elif spec.kind == "chirp-gaussian":
-        C = np.asarray(spec.chirp, float).reshape(d, d)
-        vals *= np.exp(0.5j * np.einsum("ia,ab,ib->i", z, C, z))
+    with np.errstate(all="ignore"):  # GridFunction rejects what overflows
+        vals = _gauss_hermite(z, cov, hermite).astype(complex)
+        if spec.kind == "polynomial-times-gaussian":
+            coeffs = spec.poly_coeffs if spec.poly_coeffs else (0.0,)
+            vals *= np.polyval(list(coeffs)[::-1], z[:, 0])
+        elif spec.kind == "chirp-gaussian":
+            C = np.asarray(spec.chirp, float).reshape(d, d)
+            vals *= np.exp(0.5j * np.einsum("ia,ab,ib->i", z, C, z))
     return GridFunction(grid, vals)
 
 
@@ -481,6 +488,8 @@ def _read_rows(path, magic, keys, count):
         if not (header.startswith(magic) and all(fields.get(k, "").isdigit() for k in keys)):
             raise ValueError(f"not a {magic} file: {header!r}")
         dims = [int(fields[k]) for k in keys]
+        if count(*dims) <= 0:
+            raise ValueError(f"{path}: header {header!r} declares no values")
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.shape != (count(*dims), 2):
         raise ValueError(f"{path}: expected {count(*dims)} re,im rows, found {len(rows)}")

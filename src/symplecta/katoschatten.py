@@ -28,12 +28,9 @@ products, O(N^3) at n = 1 and O(N^5) at n = 2, for fractional shifts too.
 The exponentials act one axis at a time on the multi-indices m, d.
 
 Shift groups (A coupled, such as an n = 2 phi with an x-p block).  The sum
-is taken over the distinct shifts y,
-
-    b{G} = w sum_y (Shift(y) G Shift(y)^*) o B_y,
-    B_y[a, c] = sum_{xi in y} b(xi) e^{i<x_a - x_c, p(xi)>},
-
-at two M x M products and one M x M x P_y product per shift.
+is weylrep._accumulate over the distinct shifts of the shift plan of A, the
+plan that orthogonality_integral reads; it counts toward the 8 plans and
+32 MiB of weylrep's shift-plan cache.
 
 The tables of the ambiguity-domain sum that do not depend on b or G (F, the
 exponentials, the gather indices and masks of each chunk and the output
@@ -57,7 +54,7 @@ from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCac
                    _centred_roll, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
 from .spaces import WeightSpec, WindowSpec, product_modulation_norms, sobolev_k_norm
-from .weylrep import _shift_chunks, _shift_groups, matrix_coefficient, u_conjugator
+from .weylrep import _accumulate, matrix_coefficient, u_conjugator
 
 
 @dataclass
@@ -105,25 +102,6 @@ def _cell_reps(ctx):
         raise ValueError("U-periodicity cell is not an integer stack of boxes "
                          "for this context")
     return reps
-
-
-def _accumulate(ctx, pts, bv, G):
-    """sum_xi b(xi) U(xi) G U(xi)^* over the points with nonzero density, by
-    shift groups; the kernel for a coupled phi S^{-1}."""
-    live = bv != 0.0
-    pts, bv = pts[live], bv[live]
-    F = ctx.phase_grid.dft()
-    Fh = F.conj().T
-    Ghat = F @ G @ Fh
-    acc = np.zeros_like(G)
-    groups = _shift_groups(ctx.phase_grid, pts, ctx.A)
-    for sel, ip, iy, _, E, _, R in _shift_chunks(ctx.phase_grid, groups):
-        bounds = np.searchsorted(iy, np.arange(len(R) + 1))
-        for r, lo, hi in zip(R, bounds[:-1], bounds[1:]):
-            X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
-            Ey = E[:, ip[lo:hi]]
-            acc += X * ((Ey * bv[sel[lo:hi]]) @ Ey.conj().T)
-    return acc
 
 
 def _contract(arr, mats, axes):
@@ -217,7 +195,7 @@ def kato_synthesis(ctx, b, G):
         raise TypeError("b must be a GridFunction or a callable on phase points")
     A = ctx.A
     if np.count_nonzero(A - np.diag(np.diag(A))):
-        return _accumulate(ctx, _product_points(axes), bv.ravel(), G) * grid.weight
+        return _accumulate(ctx, bv.ravel(), G) * grid.weight
     return _ambiguity_average(grid, np.diag(A), axes, bv, G) * grid.weight
 
 

@@ -12,22 +12,21 @@ symplectomorphism phi normalizing the form built from S = T + T^sigma, and
 W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi).  The conjugators are
 U(xi) = W_tilde(S^{-1} xi).
 
-One chunked kernel serves every sum over W_std(A xi): _shift_groups groups the
-points by shift and modulation, _shift_chunks cuts the groups into chunks,
-_synthesize sums g(xi) W_std(phi xi) over them and _analyze, its exact
-adjoint, takes tr(W_std(A xi)^* B) at each of them.
+One chunked kernel serves every sum over W_std(A xi): _shift_chunks groups
+the grid points by shift and modulation and cuts the groups into chunks;
+_synthesize sums g(xi) W_std(phi xi) over them, _analyze, its exact adjoint,
+takes tr(W_std(A xi)^* B) at each of them, and _accumulate sums
+b(xi) U(xi) G U(xi)^* over those of A = phi S^{-1}.
 
-The chunks over the whole phase grid depend on the grid and A only, so they
-are built once per (grid, bytes of A, _CHUNK_ELEMS), on first use, and kept
-read-only in the module's shift-plan cache: at most 8 plans of 32 MiB in all,
-the least recently used evicted first.  A plan that cannot fit is streamed
-chunk by chunk and not kept: before the first chunk is built, its size is
-bounded below from the counts of points, distinct shifts and distinct
-modulations, and a plan whose bound exceeds 32 MiB holds no chunk; one that
-outgrows 32 MiB while it is built drops those it holds.  A diagonal map's
-plan is 0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or N = 16 (n = 2);
-a coupled n = 2 map at N = 16 takes up to 246 MiB (bounded below by
-34.5 MiB) and is never kept.
+The chunks depend on the grid and A only, so they are built once per (grid,
+bytes of A, _CHUNK_ELEMS), on first use, and kept read-only in the module's
+shift-plan cache: at most 8 plans of 32 MiB in all, the least recently used
+evicted first.  Every chunk is laid out before any is built, so a plan's size
+is exact before it is built; a plan over 32 MiB is streamed and holds no chunk.
+A diagonal map's plan is 0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or
+N = 16 (n = 2); the coupled n = 2 map of the tests at N = 12 has a streamed
+45.3 MiB plan of phi and a kept 20.6 MiB plan of A, the one that
+orthogonality_integral and _accumulate share.
 """
 
 import functools
@@ -37,7 +36,7 @@ import numpy as np
 
 from .cocycle import MultiplierContext, coboundary
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
-                   _centred_diagonals, _ord_ift)
+                   _centred_diagonals, _ord_ft, _ord_ift)
 from .symplin import factor_sigma_symmetric, nondegeneracy_gate
 
 
@@ -154,85 +153,69 @@ def _distinct_rows(a):
 _CHUNK_ELEMS = 1 << 22  # element budget of one chunk of _shift_chunks
 
 
-def _shift_groups(grid, pts, A):
-    """(ys, iy, ps, ip): with (y, p) = A xi over the points, the distinct y
-    and p and each point's index into them, grouped by exact equality, which
-    assumes nothing about A."""
-    n = grid.n
-    eta = np.asarray(pts, dtype=float) @ np.asarray(A, dtype=float).T
-    return _distinct_rows(eta[:, :n]) + _distinct_rows(eta[:, n:])
+def _shift_chunks(grid, A):
+    """(nbytes, chunks): the chunks of whole shift groups of the grid points
+    for W_std(A xi), and the exact array bytes of all of them.
 
-
-def _plan_bytes_floor(grid, groups):
-    """A lower bound on the array bytes of the chunks of _shift_chunks over
-    groups, without R: 40 per point (sel, ip, iy, phase), and 16 M per
-    distinct y (its row of C) and per distinct p (a column of E in at least
-    one chunk)."""
-    ys, iy, ps, _ = groups
-    return 40 * len(iy) + 16 * grid.M * (len(ys) + len(ps))
-
-
-def _shift_chunks(grid, groups):
-    """Chunks of whole shift groups of the points, for W_std(A xi), from
-    their _shift_groups.
-
-    With (y, p) = A xi, W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on
-    the self-dual grid Shift(y) = F^* diag(r_y) F, r_y = e^{-i<k, y>}, is
+    The points are grouped by exact equality of (y, p) = A xi, which assumes
+    nothing about A.  W_std(y, p) = e^{-i<y, p>/2} Mod(p) Shift(y), and on the
+    self-dual grid Shift(y) = F^* diag(r_y) F, r_y = e^{-i<k, y>}, is
     circulant: Shift(y)[a, b] = c_y[a - b] per axis mod N, for every real y.
-    Each chunk yields (sel, ip, iy, phase, E, C, R): its points sel, their
-    columns ip of E = e^{i x p^T} over the chunk's distinct p, their rows iy
-    of C[y] = c_y (centred order) and R[y] = r_y, and e^{-i<y, p>/2}.  A chunk
-    holds at most M shifts, and at most _CHUNK_ELEMS / M points unless all the
-    distinct p fit that budget, so its arrays stay within max(_CHUNK_ELEMS, M^2).
+    Each chunk is (sel, ip, iy, phase, E, C): its points sel, their columns ip
+    of E = e^{i x p^T} over the chunk's distinct p, their rows iy of
+    C[y] = c_y (centred order), and e^{-i<y, p>/2}.  A chunk holds at most M
+    shifts, and at most _CHUNK_ELEMS / M points unless all the distinct p fit
+    that budget, so its arrays stay within max(_CHUNK_ELEMS, M^2).
+
+    Every chunk is laid out before any is built, so nbytes is exact: 40 per
+    point, 16 M per distinct y (its row of C) and 16 M per column of E,
+    summed over the chunks.
     """
     n, N, M = grid.n, grid.N, grid.M
     x = grid.coords()
-    ys, iy, ps, ip = groups
+    eta = grid.points() @ np.asarray(A, dtype=float).T
+    (ys, iy), (ps, ip) = _distinct_rows(eta[:, :n]), _distinct_rows(eta[:, n:])
     order = np.argsort(iy, kind="stable")
     starts = np.searchsorted(iy[order], np.arange(len(ys) + 1))
     max_y = max(1, min(M, _CHUNK_ELEMS // M))
     max_pts = len(iy) if len(ps) * M <= _CHUNK_ELEMS else _CHUNK_ELEMS // M
-    axes = tuple(range(1, n + 1))
-    y0 = 0
+    layout, y0 = [], 0
     while y0 < len(ys):
         y1 = max(y0 + 1, min(y0 + max_y, np.searchsorted(
             starts, starts[y0] + max_pts, "right") - 1))
         sel = order[starts[y0]:starts[y1]]
-        pu, ipl = np.unique(ip[sel], return_inverse=True)
-        phase = np.exp(-0.5j * (ys[iy[sel]] * ps[ip[sel]]).sum(1))
-        R = np.exp(-1j * (ys[y0:y1] @ x.T))
-        C = _ord_ift(R.reshape((-1,) + (N,) * n), axes).reshape(-1, M)
-        yield sel, ipl, iy[sel] - y0, phase, np.exp(1j * (x @ ps[pu].T)), C, R
+        layout.append((y0, y1, sel) + tuple(np.unique(ip[sel], return_inverse=True)))
         y0 = y1
+    nbytes = 40 * len(iy) + 16 * M * (len(ys) + sum(len(pu) for *_, pu, _ in layout))
+
+    def chunks():
+        axes = tuple(range(1, n + 1))
+        for y0, y1, sel, pu, ipl in layout:
+            phase = np.exp(-0.5j * (ys[iy[sel]] * ps[ip[sel]]).sum(1))
+            R = np.exp(-1j * (ys[y0:y1] @ x.T))
+            C = _ord_ift(R.reshape((-1,) + (N,) * n), axes).reshape(-1, M)
+            E = 1j * (x @ ps[pu].T)
+            yield sel, ipl, iy[sel] - y0, phase, np.exp(E, out=E), C
+
+    return nbytes, chunks()
 
 
 _SHIFT_PLANS = _PlanCache(_PLAN_ENTRIES, _PLAN_BYTES)
 
 
 def _grid_chunks(grid, A):
-    """The chunks of _shift_chunks over the whole phase grid, without R: from
-    the shift-plan cache, or built as they are consumed and then kept if they
-    fit.  A plan whose _plan_bytes_floor already exceeds the cache is streamed
-    without holding a chunk."""
+    """The chunks of _shift_chunks over the whole phase grid: the cached plan,
+    or the plan built and kept when its exact size fits the cache, or else the
+    chunks streamed one at a time, none of them held."""
     A = np.asarray(A, dtype=float)
     key = (grid, A.tobytes(), _CHUNK_ELEMS)
     plan = _SHIFT_PLANS.get(key)
-    if plan is not None:
-        yield from plan
-        return
-    groups = _shift_groups(grid, grid.points(), A)
-    kept = [] if _plan_bytes_floor(grid, groups) <= _SHIFT_PLANS.nbytes else None
-    size = 0
-    for chunk in _shift_chunks(grid, groups):
-        chunk = chunk[:-1]
-        size += sum(a.nbytes for a in chunk)
-        if kept is not None and size <= _SHIFT_PLANS.nbytes:
-            kept.append(chunk)
-        else:
-            kept = None
-        yield chunk
-    if kept is not None:
-        _SHIFT_PLANS.put(key, tuple(kept))
+    if plan is None:
+        nbytes, plan = _shift_chunks(grid, A)
+        if nbytes <= _SHIFT_PLANS.nbytes:
+            plan = tuple(plan)
+            _SHIFT_PLANS.put(key, plan)
+    return plan
 
 
 def _synthesize(ctx, g_flat):
@@ -264,6 +247,34 @@ def _analyze(grid, A, B):
     for sel, ip, iy, phase, E, C in _grid_chunks(grid, A):
         out[sel] = (E.conj().T @ D @ C.conj().T)[ip, iy] * phase.conj()
     return out
+
+
+def _accumulate(ctx, bv, G):
+    """sum_xi b(xi) U(xi) G U(xi)^* over the phase grid, U(xi) = W_std(A xi),
+    for any n and A = phi S^{-1}, with b given at the grid points by bv.
+
+    The phase of U(xi) cancels, so the sum runs over the shifts y of the
+    A-plan: sum_y (Shift(y) G Shift(y)^*) o B_y with B_y = E_y diag(b) E_y^*
+    over the points of y, Shift(y) = F^* diag(r_y) F and r_y the centred DFT
+    of c_y.  A shift whose densities are all zero is skipped.
+    """
+    grid = ctx.phase_grid
+    axes = tuple(range(1, grid.n + 1))
+    F = grid.dft()
+    Fh = F.conj().T
+    Ghat = F @ G @ Fh
+    acc = np.zeros_like(G)
+    for sel, ip, iy, _, E, C in _grid_chunks(grid, ctx.A):
+        R = _ord_ft(C.reshape((-1,) + (grid.N,) * grid.n), axes).reshape(C.shape)
+        bounds = np.searchsorted(iy, np.arange(len(R) + 1))
+        for r, lo, hi in zip(R, bounds[:-1], bounds[1:]):
+            b = bv[sel[lo:hi]]
+            if not b.any():
+                continue
+            X = Fh @ (r[:, None] * Ghat * r.conj()[None, :]) @ F
+            Ey = E[:, ip[lo:hi]]
+            acc += X * ((Ey * b) @ Ey.conj().T)
+    return acc
 
 
 def orthogonality_integral(ctx, phi_v, psi_v):

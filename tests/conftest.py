@@ -54,9 +54,14 @@ def count_shift_chunks(monkeypatch, budget):
     chunks, shift_chunks = [], weylrep._shift_chunks
 
     def counted(*args):
-        for chunk in shift_chunks(*args):
-            chunks.append(chunk)
-            yield chunk
+        nbytes, built = shift_chunks(*args)
+
+        def collected():
+            for chunk in built:
+                chunks.append(chunk)
+                yield chunk
+
+        return nbytes, collected()
 
     monkeypatch.setattr(weylrep, "_CHUNK_ELEMS", budget)
     monkeypatch.setattr(weylrep, "_shift_chunks", counted)

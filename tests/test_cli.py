@@ -313,7 +313,18 @@ def test_non_finite_T_exits_two(tmp_path, capsys, bad):
     ({"kind": "hermite-gaussian", "hermite_index": [1, 1, 1]},
      "symbol: hermite_index must have at most 2 entries"),
     ({"center": [0.5]}, "symbol: center must have 2 entries"),
-    ({"colour": 1}, "unknown symbol fields ['colour']")])
+    ({"colour": 1}, "unknown symbol fields ['colour']"),
+    # a covariance that is not symmetric positive definite makes a growing symbol
+    ({"covariance": [-1, 0, 0, -1]},
+     "symbol: covariance (-1, 0, 0, -1) is not a finite symmetric positive definite"),
+    ({"covariance": [1, 3, 0, 1]}, "symbol: covariance (1, 3, 0, 1) is not"),
+    # overflows end in the config error, with no numpy warning before it
+    ({"covariance": [1e300, 1e300]}, "symbol: covariance (1e+300, 1e+300) is not"),
+    ({"kind": "polynomial-times-gaussian", "poly_coeffs": [1e308, 1e308]},
+     "symbol: grid function has non-finite values"),
+    ({"kind": "hermite-gaussian", "hermite_index": [400, 1]},
+     "symbol: grid function has non-finite values")])
+@pytest.mark.filterwarnings("error")
 def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     cfg = write_cfg(tmp_path, N=16, symbol=symbol)
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2

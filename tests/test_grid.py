@@ -257,6 +257,14 @@ def test_grid_file_rejects_foreign_header(tmp_path):
         read_grid_function(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_file_rejects_a_header_without_values(tmp_path):
+    path = tmp_path / "empty.sgrid"
+    path.write_text("symplecta-grid v1, n=1, N=0\n")
+    with pytest.raises(ValueError, match="'symplecta-grid v1, n=1, N=0' declares no values"):
+        read_grid_function(path)
+
+
 def test_spec_params_defaults_and_validation():
     center, cov, hermite = _spec_params(SymbolSpec(kind="gaussian"), 2)
     assert np.array_equal(center, np.zeros(2)) and np.array_equal(cov, np.eye(2))

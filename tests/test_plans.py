@@ -102,6 +102,21 @@ def test_equal_grid_and_map_build_no_new_plan(monkeypatch):
     assert builds["shift"] > first["shift"] and builds["ambiguity"] > first["ambiguity"]
 
 
+def test_coupled_synthesis_shares_the_plan_of_the_orthogonality_integral(monkeypatch):
+    # MIXED_T2's A = phi S^{-1} is coupled: kato_synthesis sums over the
+    # shift groups of the A-plan that orthogonality_integral built.  Every
+    # shift plan groups the grid points once, by shift and by modulation.
+    groupings, distinct_rows = [], weylrep._distinct_rows
+    monkeypatch.setattr(weylrep, "_distinct_rows",
+                        lambda a: groupings.append(a) or distinct_rows(a))
+    ctx = make_ctx(MIXED_T2, N=4, n=2)
+    phi, psi = unit_gaussians_1d(ctx.phase_grid.M)
+    orthogonality_integral(ctx, phi, psi)
+    assert len(groupings) == 2
+    kato_synthesis(ctx, gaussian(ctx.phase_grid, 1.0), np.outer(phi, psi.conj()))
+    assert len(groupings) == 2
+
+
 def test_cached_plan_arrays_are_read_only():
     _run_kernels(make_ctx(SUITE_T["unit"], N=16))
 

@@ -13,9 +13,9 @@ from conftest import MIXED_T2, kernel_route_loop, make_ctx
 from symplecta.calculus import quantize_T, quantize_theta_tau_kernel, recover_symbol
 from symplecta.cocycle import MultiplierContext, coboundary_residual, cocycle_residual
 from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
-from symplecta.katoschatten import _accumulate, _ambiguity_average
+from symplecta.katoschatten import _ambiguity_average
 from symplecta.symplin import SymplecticSpace
-from symplecta.weylrep import _analyze, _synthesize
+from symplecta.weylrep import _accumulate, _analyze, _synthesize
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -89,7 +89,7 @@ def test_ambiguity_kernel_equals_shift_groups(t, half, seed):
     assert np.count_nonzero(A - np.diag(np.diag(A))) == 0
     b = random_complex(seed, (N, N))
     G = random_complex(seed + 1, (N, N))
-    want = _accumulate(ctx, ctx.phase_grid.points(), b.ravel(), G)
+    want = _accumulate(ctx, b.ravel(), G)
     got = _ambiguity_average(ctx.phase_grid, np.diag(A), [ctx.phase_grid.axis] * 2, b, G)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 

@@ -116,6 +116,13 @@ def test_modulation_norms_reject_a_full_covariance_window():
         modulation_norms(oracle_input(16, 2), full, ORACLE_PAIRS)
 
 
+def test_modulation_norms_reject_a_window_that_grows():
+    # a negative variance makes the window grow along its axis
+    grows = WindowSpec(covariance=(1, 0, 0, -1))
+    with pytest.raises(ValueError, match=r"covariance \(1, 0, 0, -1\) is not a finite"):
+        modulation_norms(oracle_input(16, 2), grows, ORACLE_PAIRS)
+
+
 def test_embedding_bound_rejects_a_full_covariance_window():
     full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
     with pytest.raises(ValueError, match="window covariance must be diagonal"):

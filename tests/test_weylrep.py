@@ -170,26 +170,24 @@ def test_distinct_rows_match_numpy_unique():
 @pytest.mark.parametrize("T, n, N", [pytest.param(SUITE_T[k], 1, 16, id=k)
                                      for k in sorted(SUITE_T)]
                          + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
-                            pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
-def test_plan_bytes_floor_is_a_lower_bound(T, n, N):
+                            pytest.param(MIXED_T2, 2, 4, id="mixed-n2"),
+                            pytest.param(MIXED_T2, 2, 8, id="mixed-n2-N8")])
+def test_plan_bytes_are_exact(T, n, N):
     ctx = make_ctx(T, N=N, n=n)
-    grid = ctx.phase_grid
     for A in (ctx.phi, ctx.A):
-        groups = weylrep._shift_groups(grid, grid.points(), A)
-        size = sum(a.nbytes for chunk in weylrep._shift_chunks(grid, groups)
-                   for a in chunk[:-1])
-        assert 0 < weylrep._plan_bytes_floor(grid, groups) <= size
+        nbytes, chunks = weylrep._shift_chunks(ctx.phase_grid, A)
+        assert nbytes == sum(a.nbytes for chunk in chunks for a in chunk)
 
 
-def test_a_plan_whose_floor_exceeds_the_cache_holds_no_chunk():
-    # MIXED_T2 at n = 2, N = 16: phi's plan is 246 MiB in 16 chunks of 9 MiB
-    # and more; its floor, 34.5 MiB, is over the 32 MiB of the cache, so the
-    # first chunk is gone once the second is built
-    ctx = make_ctx(MIXED_T2, N=16, n=2)
+@pytest.mark.parametrize("N", [12, 16])
+def test_a_plan_over_the_cache_holds_no_chunk(N):
+    # MIXED_T2 at n = 2: phi's plan is 45.3 MiB at N = 12 and 246 MiB in 16
+    # chunks at N = 16, both over the 32 MiB of the cache, so the first chunk
+    # is gone once the second is built
+    ctx = make_ctx(MIXED_T2, N=N, n=2)
     grid = ctx.phase_grid
-    groups = weylrep._shift_groups(grid, grid.points(), ctx.phi)
-    assert weylrep._plan_bytes_floor(grid, groups) > weylrep._SHIFT_PLANS.nbytes
-    chunks = weylrep._grid_chunks(grid, ctx.phi)
+    assert weylrep._shift_chunks(grid, ctx.phi)[0] > weylrep._SHIFT_PLANS.nbytes
+    chunks = iter(weylrep._grid_chunks(grid, ctx.phi))
     first = next(chunks)
     assert first[4].nbytes < weylrep._SHIFT_PLANS.nbytes
     E = weakref.ref(first[4])
