@@ -3,8 +3,12 @@ polynomially controlled weights, weighted Sobolev norms, and symbol-class
 seminorms.
 
 Modulation norms of a tensor product u = f_0 x ... x f_{d-1} under a product
-window are products of 1-D norms (product_modulation_norms); every other input
-takes the d-dimensional sliding-window pass of modulation_norms.
+window are products of 1-D norms (product_modulation_norms).  modulation_norms
+takes that route for any d >= 2 input that is a tensor product to within
+rounding, with the factors read off its values (_tensor_factors); every other
+input, and every 1-D one, takes the d-dimensional sliding-window pass
+(_stft_lp).  The symbols of criterion 09 and their transforms under a
+sigma-self-adjoint T (T = I/2, I: lam = 1, scalar S) are such products.
 
 All operations act on complex arrays sampled on centered self-dual lattices
 (spacing h = sqrt(2pi/N) per axis, any dimension d); GridFunction inputs are
@@ -88,9 +92,12 @@ def _window_factors(window, d, N):
     center, cov, hermite = _spec_params(window, d)
     if np.count_nonzero(cov - np.diag(np.diag(cov))):
         raise ValueError("window covariance must be diagonal")
-    factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],
-                                       cov[ax:ax + 1, ax:ax + 1], hermite[ax:ax + 1])
-                        for ax in range(d)])
+    with np.errstate(all="ignore"):  # a factor that overflows is rejected below
+        factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],
+                                           cov[ax:ax + 1, ax:ax + 1], hermite[ax:ax + 1])
+                            for ax in range(d)])
+    if not np.isfinite(factors).all():
+        raise ValueError(f"window {window} is not finite on the lattice")
     if np.prod(np.abs(factors).max(axis=1)) == 0.0:
         raise ValueError("window vanishes identically on the lattice")
     return factors
@@ -249,17 +256,62 @@ def _position_exponents(pairs):
     return sorted({p for p, _ in pairs}, key=float)
 
 
+# The tensor-product test of modulation_norms accepts a residual of at most
+# _FACTOR_TOL * d * eps * |u[pivot]|; _tensor_factors derives the constant.
+_FACTOR_TOL = 4.0
+
+
+def _tensor_factors(uvals):
+    """The 1-D factors f_a of u = f_0 x ... x f_{d-1} when u is one to
+    within rounding, else None.
+
+    With the pivot p at argmax |u|, f_a is the slice of u along axis a
+    through p, and f_0 is divided by u[p]^(d-1), so that the product of the
+    slices matches u at p.  The factors are accepted when
+    max |u - f_0 x ... x f_{d-1}| <= c d eps M, M = |u[p]|, c = _FACTOR_TOL.
+    Derivation: let u = P + E with P an exact tensor product and
+    |E| <= eps/2 M entrywise (a product rounded once).  To first order the
+    product of the slices carries the errors of d slice entries and d - 1
+    pivots, each weighted by at most 1 since |P| <= M, and u carries its
+    own: d eps M in all.  Forming the product takes d - 1 outer-product
+    multiplies, at most d - 2 more for the pivot power and one division,
+    each rounding within about eps relative, at |P| <= M: (2d - 2) eps M.
+    The first-order total, at most 3d eps M, stays under 4d eps M; the
+    slack takes the second-order terms and inputs carried through a few more
+    roundings (criterion-09 symbols and their transforms under T = I/2 and
+    T = I factor within 2.5 eps M at d = 2, N from 12 to 128).  An accepted
+    u is a product up to a perturbation of that size, so both routes of
+    modulation_norms agree to rounding.  A nan anywhere in u becomes the pivot, and a zero,
+    infinite or nan pivot gives a nan residual, which fails the test.
+    """
+    d = uvals.ndim
+    pivot = np.unravel_index(np.argmax(np.abs(uvals)), uvals.shape)
+    factors = [uvals[pivot[:a] + (slice(None),) + pivot[a + 1:]] for a in range(d)]
+    with np.errstate(all="ignore"):  # what overflows or divides by zero fails below
+        factors[0] = factors[0] / uvals[pivot] ** (d - 1)
+        residual = np.abs(uvals - functools.reduce(np.multiply.outer, factors)).max()
+    if not residual <= _FACTOR_TOL * d * np.finfo(float).eps * abs(uvals[pivot]):
+        return None
+    return factors
+
+
 def modulation_norms(u, window, pairs):
     """Modulation norms for several (p, q) pairs sharing one analysis pass.
 
     The window must have a diagonal covariance, so that it factors over the
-    axes; any one window gives an equivalent norm.
+    axes; any one window gives an equivalent norm.  For d >= 2, an input
+    that is a tensor product to within rounding (_tensor_factors) takes the
+    product route, product_modulation_norms on its 1-D factors; every other
+    input takes the d-dimensional pass (_stft_lp).
     """
     ps = _position_exponents(pairs)
     uvals = _values(u)
     d = uvals.ndim
     N = uvals.shape[0]
     h = _spacing(uvals)
+    factors = _tensor_factors(uvals) if d > 1 else None
+    if factors is not None:
+        return product_modulation_norms(factors, window, pairs)
     slices = _stft_lp(uvals, _window_factors(window, d, N), ps)
     return {(p, q): float(_lp_rows(slices[p][None], q, h ** d)[0])
             for p, q in pairs}

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from symplecta import spaces
+from symplecta.calculus import lambda_transform
+from symplecta.grid import GridFunction, make_grid
 from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
                               _fd_derivatives, _stft_lp, _window_factors, chirp_TA,
                               dilation_ratio, embedding_bound, modulation_norm,
                               modulation_norms, product_modulation_norms, sobolev_k_norm,
                               symbol_class_seminorms, trig_resample, window_values)
 
-from conftest import dense_modulation_norms, dense_stft_lp, dense_window, set_workers
+from conftest import (SUITE_T, dense_modulation_norms, dense_stft_lp, dense_window, make_ctx,
+                      set_workers)
 
 rng = np.random.default_rng(61)
 H = lambda N: np.sqrt(2 * np.pi / N)
@@ -110,10 +113,12 @@ def test_modulation_norms_match_dense_oracle(d, window):
 
 
 def test_modulation_norms_reject_a_full_covariance_window():
-    # a non-diagonal covariance does not factor over the axes
+    # a non-diagonal covariance does not factor over the axes; a product
+    # input takes the product route and must be rejected all the same
     full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
-    with pytest.raises(ValueError, match="window covariance must be diagonal"):
-        modulation_norms(oracle_input(16, 2), full, ORACLE_PAIRS)
+    for u in (oracle_input(16, 2), product(16, 2)):
+        with pytest.raises(ValueError, match="window covariance must be diagonal"):
+            modulation_norms(u, full, ORACLE_PAIRS)
 
 
 def test_modulation_norms_reject_a_window_that_grows():
@@ -264,6 +269,10 @@ def product_factors(N, d):
             + 0.01 * (noise[0, a] + 1j * noise[1, a]) for a in range(d)]
 
 
+def product(N, d):
+    return functools.reduce(np.multiply.outer, product_factors(N, d))
+
+
 def product_windows(d):
     return [WindowSpec(),
             WindowSpec(kind="hermite-gaussian", center=tuple(0.4 - 0.3 * np.arange(d)),
@@ -271,10 +280,16 @@ def product_windows(d):
                        hermite_index=(1,) * d)]
 
 
+def full_pass(monkeypatch):
+    """Make modulation_norms take the d-dimensional pass for every input."""
+    monkeypatch.setattr(spaces, "_tensor_factors", lambda uvals: None)
+
+
 @pytest.mark.parametrize("d, N", PRODUCT_CASES)
-def test_product_path_matches_the_full_pass(d, N):
+def test_product_path_matches_the_full_pass(monkeypatch, d, N):
     factors = product_factors(N, d)
     u = functools.reduce(np.multiply.outer, factors)
+    full_pass(monkeypatch)
     for window in product_windows(d):
         got = product_modulation_norms(factors, window, PRODUCT_PAIRS)
         want = modulation_norms(u, window, PRODUCT_PAIRS)
@@ -300,6 +315,120 @@ def test_product_path_needs_1d_factors_of_one_length():
     for factors in ([], [gauss1d(16), gauss1d(18)], [np.ones((16, 16))]):
         with pytest.raises(ValueError, match="factors must be 1-D arrays of one length"):
             product_modulation_norms(factors, WindowSpec(), [(1, 1)])
+
+
+def stft_dims(monkeypatch):
+    """Spy on spaces._stft_lp; return the list of the input dimensions it sees."""
+    dims, stft = [], spaces._stft_lp
+
+    def recorded(uvals, *args):
+        dims.append(uvals.ndim)
+        return stft(uvals, *args)
+
+    monkeypatch.setattr(spaces, "_stft_lp", recorded)
+    return dims
+
+
+@pytest.mark.parametrize("d, N", [(2, 16), (2, 40), (4, 8)])
+def test_exact_products_take_the_product_route(monkeypatch, d, N):
+    u = product(N, d)
+    dims = stft_dims(monkeypatch)
+    got = modulation_norms(u, WindowSpec(), ORACLE_PAIRS)
+    assert dims == [1] * d
+    want = dense_modulation_norms(u, WindowSpec(), ORACLE_PAIRS)
+    for pq in ORACLE_PAIRS:
+        assert abs(got[pq] - want[pq]) <= 1e-12 * want[pq], pq
+
+
+def moved_product(N, d):
+    """An exact product with one value moved by 1e-12 max |u|."""
+    u = product(N, d)
+    u[(1,) * d] += 1e-12 * np.abs(u).max()
+    return u
+
+
+@pytest.mark.parametrize("u", [moved_product(16, 2), moved_product(40, 2), moved_product(8, 4),
+                               oracle_input(16, 2)],
+                         ids=["moved-d2-N16", "moved-d2-N40", "moved-d4-N8", "oracle-input"])
+def test_a_non_product_takes_the_full_pass(monkeypatch, u):
+    dims = stft_dims(monkeypatch)
+    modulation_norms(u, WindowSpec(), PRODUCT_PAIRS)
+    assert dims == [u.ndim]
+
+
+def criterion09_member(N):
+    """A tilted, modulated, off-centre Gaussian symbol in the shape of
+    acceptance criterion 09: a product of functions of x and of xi."""
+    pg = make_grid(1, N)
+    pts = pg.points()
+    z = pts - np.array([0.3, -0.1])
+    vals = (np.exp(-(z ** 2).sum(1) / (2 * 1.1 ** 2)) * (1 + 0.2 * pts[:, 0])
+            * np.exp(1j * (pts @ np.array([0.2, 0.25]))))
+    return GridFunction(pg, vals)
+
+
+@pytest.mark.parametrize("T, route", [("half", [1, 1]), ("unit", [1, 1]), ("upper", [2]),
+                                      ("diag37", [2]), ("general", [2])])
+def test_lambda_transform_route_follows_sigma_self_adjointness(monkeypatch, T, route):
+    # T = T^sigma (T = I/2, I) gives lam = 1 and a scalar S, so the transform
+    # a o S of a product is a product; the other maps mix the axes
+    b = lambda_transform(make_ctx(SUITE_T[T], N=40), criterion09_member(40))
+    dims = stft_dims(monkeypatch)
+    got = modulation_norms(b, WindowSpec(), [(1, 1), (2, 1)])
+    assert dims == route
+    if route == [1, 1]:
+        full_pass(monkeypatch)
+        want = modulation_norms(b, WindowSpec(), [(1, 1), (2, 1)])
+        for pq in got:
+            assert abs(got[pq] - want[pq]) <= 1e-14 * want[pq], pq
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", [(0, 0), (3, 5), "pivot"])
+def test_a_nan_takes_the_full_pass(monkeypatch, where):
+    u = product(16, 2)
+    u[np.unravel_index(np.argmax(np.abs(u)), u.shape) if where == "pivot" else where] = np.nan
+    dims = stft_dims(monkeypatch)
+    got = modulation_norms(u, WindowSpec(), ORACLE_PAIRS)
+    assert dims == [2]
+    full_pass(monkeypatch)
+    want = modulation_norms(u, WindowSpec(), ORACLE_PAIRS)
+    assert got.keys() == want.keys()
+    assert np.array_equal(list(got.values()), list(want.values()), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_all_zero_array_takes_the_full_pass(monkeypatch):
+    dims = stft_dims(monkeypatch)
+    got = modulation_norms(np.zeros((16, 16)), WindowSpec(), ORACLE_PAIRS)
+    assert dims == [2]
+    assert got == dict.fromkeys(ORACLE_PAIRS, 0.0)
+
+
+def test_a_non_cubical_product_is_rejected():
+    u = np.multiply.outer(gauss1d(16), gauss1d(12))
+    with pytest.raises(ValueError, match="expected a cubical lattice"):
+        modulation_norms(u, WindowSpec(), ORACLE_PAIRS)
+
+
+@pytest.mark.parametrize("p, q", BAD_EXPONENTS)
+def test_a_product_is_checked_for_its_exponents_first(monkeypatch, p, q):
+    bad = "p" if not 0 < p <= np.inf else "q"
+    dims = stft_dims(monkeypatch)
+    u = product(16, 2)
+    with pytest.raises(ValueError, match=f"exponent {bad} ="):
+        modulation_norms(u, WindowSpec(), [(1, 1), (p, q)])
+    assert dims == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [product(16, 2),
+                               oracle_input(16, 2)], ids=["product", "non-product"])
+def test_a_window_that_overflows_is_rejected_on_both_routes(u):
+    # He_400 overflows on the lattice; both routes read _window_factors
+    window = WindowSpec(kind="hermite-gaussian", hermite_index=(400, 1))
+    with pytest.raises(ValueError, match=r"window WindowSpec\(.*400, 1\)\) is not finite"):
+        modulation_norms(u, window, [(1, 1)])
 
 
 @pytest.mark.parametrize("p", [0, -1, np.nan])
