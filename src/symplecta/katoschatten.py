@@ -53,7 +53,7 @@ from .calculus import quantize_T
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
                    _centred_roll, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
-from .spaces import WeightSpec, WindowSpec, product_modulation_norms, sobolev_k_norm
+from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
 from .weylrep import _accumulate, matrix_coefficient, u_conjugator
 
 
@@ -340,29 +340,24 @@ class NormReport:
 
 
 def _gauss_family(grid, count):
-    """Deterministic dilated/modulated Gaussian calibration family: each
-    member with its 1-D factors on the grid axis, member = outer product of
-    the factors."""
+    """Deterministic dilated/modulated Gaussian calibration family.  Each
+    member is a product of 1-D Gaussians, so modulation_norms takes it by
+    its factors."""
     out = []
-    x = grid.axis
     for i in range(count):
         width = 1.0 + 0.06 * i
         center = 0.3 * np.array([np.cos(0.7 * i), np.sin(0.7 * i)] * grid.n)[:grid.dim]
         freq = 0.4 * np.array([np.sin(1.1 * i), np.cos(1.1 * i)] * grid.n)[:grid.dim]
-        factors = [np.exp(-(x - c) ** 2 / (2 * width ** 2)) * np.exp(1j * f * x)
-                   for c, f in zip(center, freq)]
-        out.append((_gaussian(grid, width, center, freq=freq), factors))
+        out.append(_gaussian(grid, width, center, freq=freq))
     return out
 
 
 def modulation_schatten_rows(ctx, report, window, count=10):
     """Rows for the Schatten-vs-modulation bound over the calibration family;
-    returns the singular values of each member's Op_T.  The members are
-    products, so their modulation norms are products of 1-D norms."""
+    returns the singular values of each member's Op_T."""
     fam = _gauss_family(ctx.phase_grid, count)
-    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a, _ in fam]
-    mnorms = [product_modulation_norms(factors, window, [(1, 1), (2, 1)])
-              for _, factors in fam]
+    svals = [schatten_norm(quantize_T(ctx, a), 1).singular_values for a in fam]
+    mnorms = [modulation_norms(a, window, [(1, 1), (2, 1)]) for a in fam]
     for p in (1, 2):
         for sv, mn in zip(svals, mnorms):
             sn = _schatten(sv, p)
@@ -414,7 +409,7 @@ def interpolation_rows(ctx, report, svals):
     for p in (1, 2):
         s = 2 * 1.25 * n * abs(1 - 2.0 / p)
         k = WeightSpec(((ctx.phase_grid.dim, s),)) if s > 0 else None
-        for (a, _), sv in zip(fam, svals):
+        for a, sv in zip(fam, svals):
             sn = _schatten(sv, p)
             if k is None:
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2

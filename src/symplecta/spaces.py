@@ -3,12 +3,13 @@ polynomially controlled weights, weighted Sobolev norms, and symbol-class
 seminorms.
 
 Modulation norms of a tensor product u = f_0 x ... x f_{d-1} under a product
-window are products of 1-D norms (product_modulation_norms).  modulation_norms
-takes that route for any d >= 2 input that is a tensor product to within
-rounding, with the factors read off its values (_tensor_factors); every other
-input, and every 1-D one, takes the d-dimensional sliding-window pass
-(_stft_lp).  The symbols of criterion 09 and their transforms under a
-sigma-self-adjoint T (T = I/2, I: lam = 1, scalar S) are such products.
+window are products of 1-D norms.  modulation_norms is the one entry point:
+for any d >= 2 input that is a tensor product to within rounding it reads the
+factors off the values (_tensor_factors) and takes one 1-D sliding-window pass
+(_stft_lp) per factor; every other input, and every 1-D one, takes one
+d-dimensional pass.  The calibration family of katoschatten, the symbols of
+criterion 09 and their transforms under a sigma-self-adjoint T (T = I/2, I:
+lam = 1, scalar S) are such products.
 
 All operations act on complex arrays sampled on centered self-dual lattices
 (spacing h = sqrt(2pi/N) per axis, any dimension d); GridFunction inputs are
@@ -17,6 +18,7 @@ so that the computed norms are Riemann sums of their continuum counterparts
 and explicit inequality constants transfer.
 """
 
+import contextvars
 import functools
 import itertools
 import os
@@ -92,13 +94,14 @@ def _window_factors(window, d, N):
     center, cov, hermite = _spec_params(window, d)
     if np.count_nonzero(cov - np.diag(np.diag(cov))):
         raise ValueError("window covariance must be diagonal")
-    with np.errstate(all="ignore"):  # a factor that overflows is rejected below
+    with np.errstate(all="ignore"):  # a window that overflows is rejected below
         factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],
                                            cov[ax:ax + 1, ax:ax + 1], hermite[ax:ax + 1])
                             for ax in range(d)])
-    if not np.isfinite(factors).all():
+        peak = np.prod(np.abs(factors).max(axis=1))
+    if not (np.isfinite(factors).all() and np.isfinite(peak)):
         raise ValueError(f"window {window} is not finite on the lattice")
-    if np.prod(np.abs(factors).max(axis=1)) == 0.0:
+    if peak == 0.0:
         raise ValueError("window vanishes identically on the lattice")
     return factors
 
@@ -166,7 +169,9 @@ def _run_chunks(body, starts):
     """Call body(s0) for every chunk start s0.  Each call writes its own rows
     of the result, so the output is the same for any order and any worker
     count.  A single chunk, or a single core, runs inline; otherwise the
-    chunks run on a thread pool, since numpy's FFT and ufuncs release the GIL.
+    chunks run on a thread pool, since numpy's FFT and ufuncs release the GIL,
+    each in a copy of the caller's context, so that the caller's np.errstate
+    holds there too.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -179,9 +184,10 @@ def _run_chunks(body, starts):
         return
     # imported here: it loads logging (about 9 ms), which one-chunk callers skip
     from concurrent.futures import ThreadPoolExecutor
+    contexts = [contextvars.copy_context() for _ in starts]
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(body, starts):  # re-raises a chunk's exception
-            pass
+        for _ in pool.map(lambda c, s0: c.run(body, s0), contexts, starts):
+            pass  # map re-raises a chunk's exception
 
 
 def _stft_lp(uvals, factors, ps):
@@ -299,44 +305,29 @@ def modulation_norms(u, window, pairs):
     """Modulation norms for several (p, q) pairs sharing one analysis pass.
 
     The window must have a diagonal covariance, so that it factors over the
-    axes; any one window gives an equivalent norm.  For d >= 2, an input
-    that is a tensor product to within rounding (_tensor_factors) takes the
-    product route, product_modulation_norms on its 1-D factors; every other
-    input takes the d-dimensional pass (_stft_lp).
+    axes, chi = chi_0 x ... x chi_{d-1}; any one window gives an equivalent
+    norm.  The input splits into parts whose norms multiply: the 1-D factors
+    f_a of a d >= 2 input that is a tensor product to within rounding
+    (_tensor_factors), each against chi_a, or else the whole array against
+    chi.  Each part takes one sliding-window pass (_stft_lp).  ValueError when
+    a norm of a finite input is not finite.
     """
     ps = _position_exponents(pairs)
     uvals = _values(u)
     d = uvals.ndim
-    N = uvals.shape[0]
     h = _spacing(uvals)
+    chi = _window_factors(window, d, uvals.shape[0])
     factors = _tensor_factors(uvals) if d > 1 else None
-    if factors is not None:
-        return product_modulation_norms(factors, window, pairs)
-    slices = _stft_lp(uvals, _window_factors(window, d, N), ps)
-    return {(p, q): float(_lp_rows(slices[p][None], q, h ** d)[0])
-            for p, q in pairs}
-
-
-def product_modulation_norms(factors, window, pairs):
-    """modulation_norms of the product u = f_0 x ... x f_{d-1}, from its 1-D
-    factors f_a on the centered axis.
-
-    With the window chi = chi_0 x ... x chi_{d-1}, the sliding-window
-    transform of u is the product of those of the f_a against the chi_a, so
-    each mixed L^p-then-L^q norm over (x, xi) is the product of the factors'
-    norms: d 1-D transforms replace one d-dimensional one.
-    """
-    ps = _position_exponents(pairs)
-    factors = [_values(f) for f in factors]
-    if not factors or any(f.ndim != 1 or f.shape != factors[0].shape for f in factors):
-        raise ValueError("factors must be 1-D arrays of one length")
-    N = len(factors[0])
-    h = _lattice_spacing(N)
+    parts = [(uvals, chi)] if factors is None else [(f, c[None]) for f, c in zip(factors, chi)]
     out = dict.fromkeys(pairs, 1.0)
-    for f, chi in zip(factors, _window_factors(window, len(factors), N)):
-        slices = _stft_lp(f, chi[None], ps)
-        for p, q in pairs:
-            out[(p, q)] *= float(_lp_rows(slices[p][None], q, h)[0])
+    with np.errstate(all="ignore"):  # a norm that overflows is rejected below
+        for f, c in parts:
+            slices = _stft_lp(f, c, ps)
+            for p, q in out:
+                out[(p, q)] *= float(_lp_rows(slices[p][None], q, h ** f.ndim)[0])
+    if np.isfinite(uvals).all() and not np.isfinite(list(out.values())).all():
+        raise ValueError(f"a modulation norm of a finite input is not finite "
+                         f"under window {window}")
     return out
 
 

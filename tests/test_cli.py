@@ -8,7 +8,7 @@ import pytest
 from symplecta.calculus import read_operator
 from symplecta import cli
 from symplecta.cli import main
-from symplecta.grid import GridFunction, make_grid, write_grid_function
+from symplecta.grid import GridFunction, make_grid, symplectic_fourier, write_grid_function
 from symplecta.weylrep import build_rep_context
 
 from conftest import set_workers
@@ -76,6 +76,28 @@ def test_verify_kato_builds_each_suite_context_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_rep_context", counted)
     assert main(["verify", "--suite", "verify-kato", "--out", str(tmp_path)]) == 0
     assert calls == [np.asarray(T).tolist() for _, T in cli.DEFAULT_SUITE_T]
+
+
+def test_verify_core_transforms_each_random_function_twice(tmp_path, monkeypatch):
+    # 20 random functions: F f and F F f each, plus one transform of the Gaussian
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return symplectic_fourier(f)
+
+    monkeypatch.setattr(cli, "symplectic_fourier", counted)
+    assert main(["verify", "--suite", "verify-core", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * 20 + 1
+
+
+def test_json_reports_name_the_suites_that_ran(tmp_path):
+    cfg = write_cfg(tmp_path, N=8)
+    for argv, name, suite in ((["report"], "report-full", "norms+bounds"),
+                              (["verify", "--suite", "norms"], "report-norms", "norms")):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path), "--json"]) == 0
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        assert payload["config"]["suite"] == suite
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -10,7 +10,7 @@ from symplecta.grid import GridFunction, make_grid
 from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
                               _fd_derivatives, _stft_lp, _window_factors, chirp_TA,
                               dilation_ratio, embedding_bound, modulation_norm,
-                              modulation_norms, product_modulation_norms, sobolev_k_norm,
+                              modulation_norms, sobolev_k_norm,
                               symbol_class_seminorms, trig_resample, window_values)
 
 from conftest import (SUITE_T, dense_modulation_norms, dense_stft_lp, dense_window, make_ctx,
@@ -287,34 +287,41 @@ def full_pass(monkeypatch):
 
 @pytest.mark.parametrize("d, N", PRODUCT_CASES)
 def test_product_path_matches_the_full_pass(monkeypatch, d, N):
-    factors = product_factors(N, d)
-    u = functools.reduce(np.multiply.outer, factors)
-    full_pass(monkeypatch)
+    u = product(N, d)
     for window in product_windows(d):
-        got = product_modulation_norms(factors, window, PRODUCT_PAIRS)
+        dims = stft_dims(monkeypatch)
+        got = modulation_norms(u, window, PRODUCT_PAIRS)
+        assert dims == [1] * d
+        full_pass(monkeypatch)
         want = modulation_norms(u, window, PRODUCT_PAIRS)
+        monkeypatch.undo()
         assert got.keys() == want.keys()
         for pq in PRODUCT_PAIRS:
             assert abs(got[pq] - want[pq]) <= 1e-14 * want[pq], (window.kind, pq)
 
 
 def test_product_path_rejects_a_full_covariance_window():
-    full = WindowSpec(covariance=(1.2, 0.3, 0.3, 0.9))
+    cov = np.diag([1.2, 0.9, 1.1, 0.8])
+    cov[0, 3] = cov[3, 0] = 0.3
     with pytest.raises(ValueError, match="window covariance must be diagonal"):
-        product_modulation_norms(product_factors(16, 2), full, PRODUCT_PAIRS)
+        modulation_norms(product(8, 4), WindowSpec(covariance=tuple(cov.ravel())),
+                         PRODUCT_PAIRS)
 
 
 @pytest.mark.parametrize("p, q", BAD_EXPONENTS)
 def test_product_path_rejects_the_exponents_the_full_pass_rejects(p, q):
     bad = "p" if not 0 < p <= np.inf else "q"
+    u = product(8, 4)
     with pytest.raises(ValueError, match=f"exponent {bad} ="):
-        product_modulation_norms(product_factors(16, 2), WindowSpec(), [(1, 1), (p, q)])
+        modulation_norms(u, WindowSpec(), [(1, 1), (p, q)])
+    with pytest.raises(ValueError, match=f"exponent {bad} ="):
+        modulation_norm(u, WindowSpec(), p, q)
 
 
-def test_product_path_needs_1d_factors_of_one_length():
-    for factors in ([], [gauss1d(16), gauss1d(18)], [np.ones((16, 16))]):
-        with pytest.raises(ValueError, match="factors must be 1-D arrays of one length"):
-            product_modulation_norms(factors, WindowSpec(), [(1, 1)])
+def test_a_repeated_pair_is_taken_once_on_both_routes():
+    for u in (product(16, 2), oracle_input(16, 2)):
+        once = modulation_norms(u, WindowSpec(), [(1, 1)])
+        assert modulation_norms(u, WindowSpec(), [(1, 1), (1, 1)]) == once
 
 
 def stft_dims(monkeypatch):
@@ -428,6 +435,29 @@ def test_a_window_that_overflows_is_rejected_on_both_routes(u):
     # He_400 overflows on the lattice; both routes read _window_factors
     window = WindowSpec(kind="hermite-gaussian", hermite_index=(400, 1))
     with pytest.raises(ValueError, match=r"window WindowSpec\(.*400, 1\)\) is not finite"):
+        modulation_norms(u, window, [(1, 1)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [product(40, 2),
+                               oracle_input(40, 2)], ids=["product", "non-product"])
+def test_a_window_whose_norms_overflow_is_rejected_on_both_routes(monkeypatch, u):
+    # He_150 peaks near 6e130 at N = 40: finite, but |.|^3 of its transform is
+    # not; the non-product pass runs its chunks on a pool of two workers
+    set_workers(monkeypatch, 2)
+    window = WindowSpec(kind="hermite-gaussian", hermite_index=(150, 150))
+    with pytest.raises(ValueError, match=r"finite input is not finite under window "
+                                         r"WindowSpec\(.*150, 150\)\)"):
+        modulation_norms(u, window, [(1, 1), (3, 1), (2, 2)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [product(16, 4),
+                               oracle_input(16, 4)], ids=["product", "non-product"])
+def test_a_window_whose_peak_overflows_is_rejected_on_both_routes(u):
+    # every factor is finite, but their peaks multiply past the float range
+    window = WindowSpec(kind="hermite-gaussian", hermite_index=(150,) * 4)
+    with pytest.raises(ValueError, match=r"window WindowSpec\(.*150\)\) is not finite"):
         modulation_norms(u, window, [(1, 1)])
 
 
