@@ -30,14 +30,12 @@ from .grid import (
     read_grid_function,
 )
 from .weylrep import (
-    ConfigGrid,
     RepContext,
     build_rep_context,
     weyl_standard,
     weyl_tilde,
     weyl_W,
     u_conjugator,
-    field_generator,
     matrix_coefficient,
     orthogonality_integral,
 )
@@ -68,7 +66,6 @@ from .spaces import (
     dilation_ratio,
     sobolev_k_norm,
     embedding_bound,
-    symbol_class_seminorms,
 )
 from .katoschatten import (
     SchattenReport,

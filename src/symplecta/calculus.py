@@ -82,7 +82,7 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
         raise ValueError("the kernel route is implemented for n = 1")
     if abs(theta + tau - 1.0) > 1e-12:
         raise ValueError(f"the kernel route needs theta + tau = 1, got "
-                         f"theta + tau = {theta + tau!r}")
+                         f"theta + tau = {float(theta + tau)!r}")
     N, h, x = grid.N, grid.h, np.asarray(grid.axis)
     av = a.values
     ph = np.exp(1j * np.outer(x, x))

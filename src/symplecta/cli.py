@@ -65,7 +65,7 @@ class VerificationFailure(Exception):
 class RunConfig:
     n: int = 1
     N: int = 32
-    T: tuple = ((0.5, 0.0), (0.0, 0.5))
+    T: tuple = None  # load_config sets I/2 of size 2n unless configured
     symbol: dict = field(default_factory=lambda: {"kind": "gaussian"})
     suite: str = "verify-core"
     route: str = "synthesis"
@@ -122,6 +122,8 @@ def load_config(args):
         make_grid(cfg.n, cfg.N)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if "T" not in data:
+        cfg.T = (0.5 * np.eye(2 * cfg.n)).tolist()
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITES}")
     if cfg.route not in ("synthesis", "kernel"):
@@ -276,12 +278,14 @@ def _suite_verify_kato(cfg, report, rng):
     if cfg.N < 32:
         raise ConfigError(f"N must be at least 32 for verify-kato, whose T=I rows "
                           f"alias on coarser grids, got N={cfg.N}")
+    configured = _context(cfg)  # a degenerate configured T fails, as in verify-core
     grid = make_grid(cfg.n, cfg.N)
     b = _gaussian(grid, 1.0, center=[0.5] + [0.0] * (grid.dim - 1))
     c = _gaussian(grid, 1.0, center=[0.0, 0.3] + [0.0] * (grid.dim - 2))
     pts = grid.points()
     chirp = np.exp(0.5j * 0.3 * pts[:, 0] * pts[:, 1]).reshape(b.values.shape)
-    ctxs = {label: _context(cfg, T=T) for label, T in DEFAULT_SUITE_T}
+    ctxs = {label: configured if np.array_equal(T, configured.T) else _context(cfg, T=T)
+            for label, T in DEFAULT_SUITE_T}
     for label, ctx in ctxs.items():
         _check(report, "thm-n14-a", kato_identity_residual(ctx, b, c),
                f"thm-n14-a[{label}]")

@@ -186,9 +186,6 @@ class PhaseGrid:
             F = np.kron(F, F1)
         return F
 
-    def space(self):
-        return SymplecticSpace(self.n)
-
 
 @dataclass
 class GridFunction:
@@ -288,12 +285,10 @@ def symplectic_fourier(f):
 def apply_multiplier(lam, f):
     """Apply the sigma-Fourier multiplier lam: F (lam . F f).
 
-    lam may be a GridFunction, an ndarray of grid values, or a callable
-    evaluated on the grid points.
+    lam may be an ndarray of grid values or a callable evaluated on the grid
+    points.
     """
-    if isinstance(lam, GridFunction):
-        lv = lam.values
-    elif callable(lam):
+    if callable(lam):
         lv = np.asarray(lam(f.grid.points()), dtype=complex).reshape(f.values.shape)
     else:
         lv = np.asarray(lam, dtype=complex).reshape(f.values.shape)
@@ -384,9 +379,9 @@ def translate(xi, f, mode="auto"):
         out = np.roll(f.values, shift=tuple(int(k) for k in idx),
                       axis=tuple(range(grid.dim)))
         return GridFunction(grid, out)
-    space = grid.space()
     pts = grid.points()
-    lam = np.exp(-1j * sigma_eval(space, pts, np.broadcast_to(xi, pts.shape)))
+    lam = np.exp(-1j * sigma_eval(SymplecticSpace(grid.n), pts,
+                                  np.broadcast_to(xi, pts.shape)))
     return apply_multiplier(lam.reshape(f.values.shape), f)
 
 

@@ -1,6 +1,5 @@
 """Function-space machinery: modulation norms, chirp operators, dilations,
-polynomially controlled weights, weighted Sobolev norms, and symbol-class
-seminorms.
+polynomially controlled weights and weighted Sobolev norms.
 
 Modulation norms of a tensor product u = f_0 x ... x f_{d-1} under a product
 window are products of 1-D norms.  modulation_norms is the one entry point:
@@ -253,15 +252,6 @@ def _stft_lp(uvals, factors, ps):
     return out
 
 
-def _position_exponents(pairs):
-    """The distinct position exponents p of the (p, q) pairs, ascending;
-    ValueError for an exponent outside (0, inf]."""
-    for p, q in pairs:
-        _check_exponent("p", p)
-        _check_exponent("q", q)
-    return sorted({p for p, _ in pairs}, key=float)
-
-
 # The tensor-product test of modulation_norms accepts a residual of at most
 # _FACTOR_TOL * d * eps * |u[pivot]|; _tensor_factors derives the constant.
 _FACTOR_TOL = 4.0
@@ -312,7 +302,10 @@ def modulation_norms(u, window, pairs):
     chi.  Each part takes one sliding-window pass (_stft_lp).  ValueError when
     a norm of a finite input is not finite.
     """
-    ps = _position_exponents(pairs)
+    for p, q in pairs:
+        _check_exponent("p", p)
+        _check_exponent("q", q)
+    ps = sorted({p for p, _ in pairs}, key=float)  # distinct, ascending
     uvals = _values(u)
     d = uvals.ndim
     h = _spacing(uvals)
@@ -343,6 +336,7 @@ def modulation_norm(u, window, p, q):
 def chirp_TA(A, u):
     """Chirp operator: Fourier-side multiplication by e^{i Phi_{A^{-1}}} on the
     last m axes, Phi_A(x) = -<A x, x>/2.  Unitary; inverse is chirp_TA(-A, .).
+    Returns an array, also for a GridFunction u.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -361,10 +355,7 @@ def chirp_TA(A, u):
     xi = _lattice_points(N, m).reshape((N,) * m + (m,))
     phase = np.exp(-0.5j * np.einsum("...a,ab,...b->...", xi, Ainv, xi))
     shape = (1,) * (vals.ndim - m) + (N,) * m
-    out = _ord_ift(phase.reshape(shape) * _ord_ft(vals, axes), axes)
-    if isinstance(u, GridFunction):
-        return GridFunction(u.grid, out)
-    return out
+    return _ord_ift(phase.reshape(shape) * _ord_ft(vals, axes), axes)
 
 
 def trig_resample(vals, A):
@@ -482,20 +473,3 @@ def embedding_bound(k, window, q, N):
         dchi = _spectral_derivative(chiv, alpha)
         total += C_alpha * float(np.sum(Mk * np.abs(dchi)) * h ** d)
     return (2 * np.pi) ** (-d) * bracket * total * inv_k_q
-
-
-def symbol_class_seminorms(a, m, max_order):
-    """Growth-order seminorms sup <x>^{-m+|alpha|} |d^alpha a| for |alpha| <= max_order.
-
-    Derivatives by repeated centered finite differences (np.gradient); the sup
-    excludes a boundary margin where one-sided differences degrade.  Returns a
-    list aligned with ascending multi-index order.
-    """
-    if max_order > 4:
-        raise ValueError("finite differences degrade beyond order 4")
-    vals = _values(a)
-    h = _spacing(vals)
-    pts = _lattice_points(vals.shape[0], vals.ndim)
-    jap = (1 + (pts ** 2).sum(1)).reshape(vals.shape) ** 0.5
-    return [float(np.max(jap[core] ** (-m + sum(alpha)) * np.abs(da)))
-            for alpha, core, da in _fd_derivatives(vals, h, max_order, max_order + 2)]

@@ -41,8 +41,7 @@ from .symplin import factor_sigma_symmetric, nondegeneracy_gate
 
 
 # The configuration lattice is the first n axes of the phase grid.  The old name
-# stays because the benchmark workloads and the package exports build contexts
-# from ConfigGrid(n, N).
+# stays because the benchmark workloads build contexts from ConfigGrid(n, N).
 ConfigGrid = PhaseGrid
 
 
@@ -119,14 +118,6 @@ def weyl_W(ctx, xi):
 def u_conjugator(ctx, xi):
     """U(xi) = W_tilde(S^{-1} xi): the translation-covariance conjugator."""
     return weyl_tilde(ctx, ctx.Sinv @ np.asarray(xi, dtype=float))
-
-
-def field_generator(ctx, xi, t_step=1e-4):
-    """Central-difference generator of the one-parameter group t -> W_tilde(t xi)."""
-    if not (0 < t_step <= 1e-3):
-        raise ValueError("t_step must lie in (0, 1e-3]")
-    xi = np.asarray(xi, dtype=float)
-    return (weyl_tilde(ctx, t_step * xi) - weyl_tilde(ctx, -t_step * xi)) / (2j * t_step)
 
 
 def u_conjugator_batch(ctx, pts):

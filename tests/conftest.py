@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from symplecta.grid import _centred_roll, _gauss_hermite, _lattice_points, _spec_params
+from symplecta.grid import (PhaseGrid, _centred_roll, _gauss_hermite, _lattice_points,
+                            _spec_params)
 from symplecta.grid import _gaussian as gaussian  # noqa: F401 (shared with the tests)
 from symplecta.symplin import SymplecticSpace
 from symplecta import katoschatten, weylrep
-from symplecta.weylrep import ConfigGrid, build_rep_context, weyl_standard
+from symplecta.weylrep import build_rep_context, weyl_standard
 
 SUITE_T = {
     "half": 0.5 * np.eye(2),
@@ -45,7 +46,7 @@ def set_workers(monkeypatch, k):
 
 def make_ctx(T, N=32, n=1):
     return build_rep_context(SymplecticSpace(n), np.asarray(T, dtype=float),
-                             ConfigGrid(n, N))
+                             PhaseGrid(n, N))
 
 
 def count_shift_chunks(monkeypatch, budget):

@@ -70,8 +70,10 @@ def test_kernel_route_rejects_theta_plus_tau_not_one():
     # the kernel formula reads tau only: for T = I it would not be Op_T
     g = make_grid(1, 32)
     a = gaussian(g, 1.0, center=(0.2, 0.1))
-    with pytest.raises(ValueError, match=r"theta \+ tau"):
-        quantize_theta_tau_kernel(g, 1.0, 1.0, a)
+    # the sum prints as a plain number, whatever the type of theta and tau
+    for one in (1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"theta \+ tau = 2\.0$"):
+            quantize_theta_tau_kernel(g, one, one, a)
 
 
 def test_kernel_route_requires_one_degree_of_freedom():

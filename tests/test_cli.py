@@ -119,6 +119,18 @@ def test_degenerate_multiplier_exits_one_with_witness(tmp_path, capsys):
     assert "verification failure" in err and "witness" in err
 
 
+@pytest.mark.parametrize("T", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [0.0, 0.0]]],
+                         ids=["diag(.5,-.5)", "nilpotent"])
+def test_verify_kato_rejects_a_degenerate_configured_T(tmp_path, capsys, T):
+    # the suite maps are fixed, but the configured T is gated as in verify-core
+    cfg = write_cfg(tmp_path, T=T)
+    assert main(["verify", "--suite", "verify-kato", "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure: degenerate multiplier" in err and "witness" in err
+    assert not (tmp_path / "report-verify-kato.csv").exists()
+
+
 def test_quantize_identity_from_file_symbol(tmp_path, capsys):
     g = make_grid(1, 16)
     sym = tmp_path / "ones.sgrid"
@@ -166,7 +178,9 @@ def test_kernel_route_rejects_theta_plus_tau_not_one(tmp_path, capsys):
                     T=[[1.0, 0.0], [0.0, 1.0]])
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "theta + tau" in err
+    # the sum of the numpy entries of T prints as a plain number
+    assert "config error" in err and "got theta + tau = 2.0" in err
+    assert "np.float64" not in err
     assert not (tmp_path / "op-kernel.txt").exists()
 
 
@@ -277,6 +291,14 @@ def test_bounds_and_report_run_at_n2(tmp_path, capsys, command):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_default_T_at_n2_is_half_the_4x4_identity(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=2, N=8)
+    assert main(["verify", "--suite", "bounds", "--config", cfg, "--out", str(tmp_path),
+                 "--json"]) == 0
+    payload = json.loads((tmp_path / "report-bounds.json").read_text())
+    assert payload["config"]["T"] == (0.5 * np.eye(4)).tolist()
+
+
 @pytest.mark.parametrize("N", [4, 6])
 @pytest.mark.parametrize("argv", [["verify", "--suite", "norms"], ["report"]],
                          ids=["norms", "report"])
@@ -345,7 +367,10 @@ def test_non_finite_T_exits_two(tmp_path, capsys, bad):
     ({"kind": "polynomial-times-gaussian", "poly_coeffs": [1e308, 1e308]},
      "symbol: grid function has non-finite values"),
     ({"kind": "hermite-gaussian", "hermite_index": [400, 1]},
-     "symbol: grid function has non-finite values")])
+     "symbol: grid function has non-finite values"),
+    # ragged nesting is no list of numbers
+    ({"center": [[1], [2, 3]]},
+     "symbol.center must be a list of finite numbers, got [[1], [2, 3]]")])
 @pytest.mark.filterwarnings("error")
 def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     cfg = write_cfg(tmp_path, N=16, symbol=symbol)

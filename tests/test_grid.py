@@ -141,6 +141,12 @@ def test_exact_pullback_requires_lattice_map():
         pullback(np.zeros((2, 2)), f)
 
 
+def test_pullback_rejects_an_unknown_mode():
+    f = gaussian(make_grid(1, 8))
+    with pytest.raises(ValueError, match="unknown pullback mode 'wrapped'"):
+        pullback(np.eye(2), f, "wrapped")
+
+
 def test_pullback_singularity_test_is_scale_free():
     g = make_grid(1, 16)
     f = gaussian(g)

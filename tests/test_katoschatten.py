@@ -119,6 +119,14 @@ def test_synthesis_matches_dense_conjugator_sum(T, n, N):
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
+def test_callable_density_needs_a_cell_of_whole_boxes():
+    # T = 0.75 I gives A^{-1} = diag(1.5, 1): no integer stack of boxes to sum over
+    ctx = make_ctx(0.75 * np.eye(2), N=16)
+    assert np.allclose(np.linalg.inv(ctx.A), np.diag([1.5, 1.0]))
+    with pytest.raises(ValueError, match="not an integer stack of boxes"):
+        kato_synthesis(ctx, lambda pts: np.ones(len(pts)), np.eye(16))
+
+
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 4)])
 def test_callable_density_on_the_two_box_cell_of_t_identity(n, N):
     # T = I gives S = 2I: the U-periodicity cell is two boxes along each

@@ -8,11 +8,10 @@ import pytest
 from conftest import MIXED_T2, SUITE_T, gaussian, make_ctx, unit_gaussians_1d
 from symplecta import katoschatten, weylrep
 from symplecta.calculus import quantize_T, recover_symbol
-from symplecta.grid import _PLAN_BYTES, _PLAN_ENTRIES, _PlanCache
+from symplecta.grid import _PLAN_BYTES, _PLAN_ENTRIES, PhaseGrid, _PlanCache
 from symplecta.katoschatten import kato_synthesis
 from symplecta.symplin import SymplecticSpace, nondegeneracy_gate
-from symplecta.weylrep import (ConfigGrid, build_rep_context, matrix_coefficient,
-                               orthogonality_integral)
+from symplecta.weylrep import build_rep_context, matrix_coefficient, orthogonality_integral
 
 CASES = ([pytest.param(SUITE_T[k], 1, 16, id=k) for k in sorted(SUITE_T)]
          + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
@@ -92,7 +91,7 @@ def test_equal_grid_and_map_build_no_new_plan(monkeypatch):
     assert first == {"shift": 2, "ambiguity": 2}
     plans = [dict(c._plans) for c in _caches()]
     # a fresh context with an equal grid and T, built from new arrays
-    ctx = build_rep_context(SymplecticSpace(1), np.eye(2) * 1.0, ConfigGrid(1, 16))
+    ctx = build_rep_context(SymplecticSpace(1), np.eye(2) * 1.0, PhaseGrid(1, 16))
     _run_kernels(ctx)
     assert builds == first
     for cache, before in zip(_caches(), plans):

@@ -149,3 +149,13 @@ def test_gate_gives_a_non_finite_S_no_kernel_witness():
 def test_factor_rejects_a_non_finite_S():
     with pytest.raises(ValueError, match="S is singular"):
         factor_sigma_symmetric(SymplecticSpace(1), np.full((2, 2), np.nan))
+
+
+def test_form_and_adjoint_reject_vectors_and_maps_of_another_dimension():
+    sp = SymplecticSpace(1)
+    with pytest.raises(ValueError, match="vector length must equal 2n"):
+        sigma_eval(sp, np.ones(3), np.ones(2))
+    with pytest.raises(ValueError, match="vector length must equal 2n"):
+        sigma_eval(sp, np.ones(2), np.ones((5, 4)))
+    with pytest.raises(ValueError, match="map dimension mismatch"):
+        symplectic_adjoint(sp, np.eye(4))

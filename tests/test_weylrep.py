@@ -7,10 +7,9 @@ from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, count_shift_chunks,
                       make_ctx, unit_gaussians_1d)
 from symplecta import weylrep
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
-from symplecta.grid import GridFunction
+from symplecta.grid import PhaseGrid
 from symplecta.symplin import SymplecticSpace
-from symplecta.weylrep import (ConfigGrid, _distinct_rows, build_rep_context,
-                               field_generator, matrix_coefficient,
+from symplecta.weylrep import (_distinct_rows, build_rep_context, matrix_coefficient,
                                orthogonality_integral, u_conjugator,
                                u_conjugator_batch, weyl_standard, weyl_tilde,
                                weyl_W)
@@ -20,7 +19,7 @@ SP = SymplecticSpace(1)
 
 
 def test_config_grid_basics():
-    c = ConfigGrid(1, 16)
+    c = PhaseGrid(1, 16)
     assert c.M == 16
     assert abs(c.h ** 2 * 16 - 2 * np.pi) < 1e-12
     F = c.dft()
@@ -28,7 +27,7 @@ def test_config_grid_basics():
 
 
 def test_standard_weyl_unitary_for_any_real_shift():
-    c = ConfigGrid(1, 16)
+    c = PhaseGrid(1, 16)
     for xi in [np.array([2 * c.h, -3 * c.h]), np.array([0.37, 1.21])]:
         W = weyl_standard(c, xi)
         assert np.abs(W @ W.conj().T - np.eye(16)).max() < 1e-10
@@ -36,12 +35,12 @@ def test_standard_weyl_unitary_for_any_real_shift():
 
 def test_build_context_rejects_degenerate_multiplier():
     with pytest.raises(ValueError, match="witness"):
-        build_rep_context(SP, SP.J, ConfigGrid(1, 16))
+        build_rep_context(SP, SP.J, PhaseGrid(1, 16))
 
 
 def test_build_context_rejects_grid_of_another_dimension():
     with pytest.raises(ValueError, match="n=2.*n=1"):
-        build_rep_context(SP, 0.5 * np.eye(2), ConfigGrid(2, 8))
+        build_rep_context(SP, 0.5 * np.eye(2), PhaseGrid(2, 8))
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_T))
@@ -81,18 +80,6 @@ def test_conjugator_batch_matches_single():
     batch = u_conjugator_batch(ctx, pts)
     for k in range(6):
         assert np.abs(batch[k] - u_conjugator(ctx, pts[k])).max() < 1e-10
-
-
-def test_field_generator_is_hermitian_and_consistent():
-    ctx = make_ctx(SUITE_T["half"], N=16)
-    xi = np.array([1.0, -0.5])
-    G1 = field_generator(ctx, xi, t_step=1e-4)
-    G2 = field_generator(ctx, xi, t_step=5e-5)
-    # (W(t) - W(-t)) / (2it) is Hermitian since W(-t) = W(t)^*
-    assert np.abs(G1 - G1.conj().T).max() < 1e-6
-    assert np.abs(G1 - G2).max() < 1e-5 * max(1.0, np.abs(G1).max())
-    with pytest.raises(ValueError):
-        field_generator(ctx, xi, t_step=0.1)
 
 
 @pytest.mark.parametrize("name", ["half", "unit", "general"])
