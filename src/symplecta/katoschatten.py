@@ -50,11 +50,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import quantize_T
+from .cocycle import _stack_samples
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
                    _centred_roll, _gaussian, _product_points, apply_multiplier,
                    sigma_convolve, symplectic_fourier)
 from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
-from .weylrep import _accumulate, matrix_coefficient, u_conjugator
+from .weylrep import _accumulate, matrix_coefficient, u_conjugator_batch
 
 
 @dataclass
@@ -228,25 +229,18 @@ def conjugation_coefficient_residual(ctx, a, phi_v, psi_v, sample_indices):
 
     Checks <phi, U(xi) Op(a) U(xi)^* psi> against (a * w_hat)(-xi), where
     w(eta) = <phi, W(eta) psi> and the hat is the symplectic Fourier transform;
-    xi runs over the supplied lattice index tuples.
+    xi runs over the supplied lattice indices, shape (k, 2n).
     """
-    grid = ctx.phase_grid
-    N, h = grid.N, grid.h
-    wfun = matrix_coefficient(ctx, phi_v, psi_v)
-    what = symplectic_fourier(wfun)
-    conv = sigma_convolve(a, what)
+    N, h = ctx.phase_grid.N, ctx.phase_grid.h
+    conv = sigma_convolve(a, symplectic_fourier(matrix_coefficient(ctx, phi_v, psi_v)))
     A = quantize_T(ctx, a)
-    phi_a = np.asarray(phi_v, complex).ravel()
+    phi = np.asarray(phi_v, complex).ravel()
     psi = np.asarray(psi_v, complex).ravel()
-    worst = 0.0
-    for idx in sample_indices:
-        idx = np.asarray(idx, dtype=int)
-        xi = idx * h
-        U = u_conjugator(ctx, xi)
-        lhs = np.vdot(phi_a, U @ A @ U.conj().T @ psi)
-        rhs = conv.values[tuple(_centred_roll(0, idx, N))]
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    idx = _stack_samples(sample_indices, int)
+    U = u_conjugator_batch(ctx, idx * h)
+    lhs = np.einsum("ka,ab,kb->k", phi.conj() @ U, A, psi @ U.conj())
+    rhs = conv.values[tuple(_centred_roll(0, idx, N).T)]
+    return float(np.abs(lhs - rhs).max())
 
 
 def _check_psd(A, name):
@@ -259,7 +253,8 @@ def _check_psd(A, name):
 
 
 def majorization_residual(Tm, A, B, samples):
-    """Worst violation of |<u, Tm v>|^2 <= <u, A u> <v, B v> over sample pairs.
+    """Worst violation of |<u, Tm v>|^2 <= <u, A u> <v, B v> over sample pairs
+    (u, v), shape (k, 2, M).
 
     Nonpositive differences clamp to zero, so 0 certifies the relation on the
     sampled pairs.
@@ -267,14 +262,11 @@ def majorization_residual(Tm, A, B, samples):
     Tm = np.asarray(Tm, dtype=complex)
     A = _check_psd(A, "A")
     B = _check_psd(B, "B")
-    worst = 0.0
-    for u, v in samples:
-        u = np.asarray(u, complex).ravel()
-        v = np.asarray(v, complex).ravel()
-        lhs = abs(np.vdot(u, Tm @ v)) ** 2
-        rhs = np.real(np.vdot(u, A @ u)) * np.real(np.vdot(v, B @ v))
-        worst = max(worst, max(0.0, lhs - rhs))
-    return float(worst)
+    u, v = np.moveaxis(_stack_samples(samples, complex).reshape(-1, 2, len(A)), 1, 0)
+    lhs = np.abs(np.einsum("ka,ab,kb->k", u.conj(), Tm, v)) ** 2
+    rhs = (np.einsum("ka,ab,kb->k", u.conj(), A, u).real
+           * np.einsum("ka,ab,kb->k", v.conj(), B, v).real)
+    return float(max(0.0, (lhs - rhs).max()))
 
 
 def polar_absolute_values(Tm):

@@ -53,12 +53,12 @@ def test_criterion_01_cocycle_algebra():
     worst_eq = worst_norm = worst_cob = 0.0
     for _ in range(10):
         ctx = MultiplierContext(SP, rng.standard_normal((2, 2)))
-        triples = [tuple(rng.standard_normal((3, 2)) * 3) for _ in range(100)]
+        triples = rng.standard_normal((100, 3, 2)) * 3
         worst_eq = max(worst_eq, cocycle_residual(ctx, triples))
-        pairs = [tuple(rng.standard_normal((2, 2)) * 3) for _ in range(100)]
+        pairs = rng.standard_normal((100, 2, 2)) * 3
         worst_cob = max(worst_cob, coboundary_residual(ctx, pairs))
-        for xi in rng.standard_normal((20, 2)) * 3:
-            worst_norm = max(worst_norm, abs(omega_tilde(ctx, xi, -xi) - 1.0))
+        xis = rng.standard_normal((20, 2)) * 3
+        worst_norm = max(worst_norm, np.abs(omega_tilde(ctx, xis, -xis) - 1.0).max())
     ok = worst_eq <= 1e-12 and worst_norm <= 1e-12 and worst_cob <= 1e-12
     _report("01 cocycle algebra", ok,
             f"equation {worst_eq:.2e}, normalization {worst_norm:.2e}, "
@@ -67,15 +67,14 @@ def test_criterion_01_cocycle_algebra():
 
 def test_criterion_02_nondegeneracy_dichotomy():
     rng = np.random.default_rng(102)
-    maps = [rng.standard_normal((2, 2)) for _ in range(19)] + [SP.J.copy()]
     mismatches = 0
-    for T in maps:
+    for T in [*rng.standard_normal((19, 2, 2)), SP.J.copy()]:
         gate = nondegeneracy_gate(SP, T)
         ctx = MultiplierContext(SP, T)
         etas = rng.standard_normal((30, 2)) * 3
         if gate.nondegenerate:
-            sym = min(np.abs(omega(ctx, xi, etas) - omega(ctx, etas, xi)).max()
-                      for xi in rng.standard_normal((5, 2)) * 3)
+            xis = rng.standard_normal((5, 1, 2)) * 3
+            sym = np.abs(omega(ctx, xis, etas) - omega(ctx, etas, xis)).max(1).min()
             if sym < 1e-8:
                 mismatches += 1
         else:

@@ -30,6 +30,22 @@ def test_default_verify_core_passes(tmp_path, capsys):
     assert "thm-n4" in csv and "sec1-routes" in csv
 
 
+@pytest.mark.parametrize("config, rc, tightest", [
+    ({}, 0, "sec3-cocycle"),
+    ({"N": 16}, 1, "sec2-fsigma-gaussian"),  # fails: 0.0027 against 1e-8
+    ({"suite": "norms"}, 0, "thm-n5-modulation"),  # ties thm-n6[lam=0.5] at 0.5
+])
+def test_summary_names_the_tightest_row(tmp_path, capsys, config, rc, tightest):
+    assert main(["verify", "--config", write_cfg(tmp_path, **config),
+                 "--out", str(tmp_path)]) == rc
+    suite = config.get("suite", "verify-core")
+    with open(tmp_path / f"report-{suite}.csv", encoding="utf-8") as fh:
+        ratios = {r["quantity"]: float(r["ratio"]) for r in csv.DictReader(fh)}
+    assert tightest == next(q for q, r in ratios.items() if r == max(ratios.values()))
+    assert capsys.readouterr().out.endswith(
+        f"; tightest {tightest} at {ratios[tightest]:.3g} of bound\n")
+
+
 def test_verify_runs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

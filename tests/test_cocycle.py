@@ -44,8 +44,13 @@ def test_coboundary_trivial_for_scalar_maps():
 
 
 def test_coboundary_residual_rejects_empty_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty sample list"):
         coboundary_residual(random_ctx(), [])
+
+
+def test_cocycle_residual_rejects_empty_samples():
+    with pytest.raises(ValueError, match="empty sample list"):
+        cocycle_residual(random_ctx(), [])
 
 
 def test_batched_multiplier_evaluation_matches_scalar():

@@ -1,18 +1,23 @@
 """The reports of a fixed config, byte for byte against the files recorded in
 tests/golden/.
 
-The `verify` CSV and JSON of verify-core, verify-kato, norms and bounds are
-those of the default config (n=1, N=32, T=I/2, seed 0) and, in golden/N64,
-of the same config at N=64; report-full is that of `report` at n=2, N=8,
-T=I/2; golden/quantize-N16 holds the operator file and provenance JSON of
-`quantize` at N=16 by each route.  A change that moves any value, even at
-rounding level, fails this test.  When such a change is meant, re-record the
-files (`python -m symplecta.cli verify --suite <suite> --json --out
-tests/golden`, and the other commands with the configs below) and name every
-re-recorded file in CHANGES.md.
+RUNS is the one table of recorded runs: (golden dir, argv, config).  The
+`verify` CSV and JSON of verify-core, verify-kato, norms and bounds are those
+of the default config (n=1, N=32, T=I/2, seed 0) and, in golden/N64, of the
+same config at N=64; report-full is that of `report` at n=2, N=8, T=I/2;
+golden/quantize-N16 holds the operator file and provenance JSON of `quantize`
+at N=16 by each route.  A change that moves any value, even at rounding level,
+fails this test.  When such a change is meant, re-record every file from the
+table with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and name every file that `git diff --stat tests/golden` lists in CHANGES.md.
 """
 
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,49 +26,72 @@ import pytest
 from symplecta.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SUITES = ("verify-core", "verify-kato", "norms", "bounds")
+ROUTES = ("synthesis", "kernel")
+
+# every recorded run: (golden dir, argv without --config and --out, config)
+RUNS = {
+    **{suite: (GOLDEN, ["verify", "--suite", suite, "--json"], {}) for suite in SUITES},
+    **{f"N64/{suite}": (GOLDEN / "N64", ["verify", "--suite", suite, "--json"], {"N": 64})
+       for suite in SUITES},
+    **{f"quantize-N16/{route}": (GOLDEN / "quantize-N16", ["quantize"],
+                                 {"N": 16, "route": route}) for route in ROUTES},
+    "report-full": (GOLDEN, ["report", "--json"],
+                    {"n": 2, "N": 8, "T": (0.5 * np.eye(4)).tolist()}),
+}
 
 
-def assert_golden(out, name, exts=("csv", "json"), golden=GOLDEN):
-    for ext in exts:
-        got = (out / f"{name}.{ext}").read_bytes()
-        assert got == (golden / f"{name}.{ext}").read_bytes(), f"{name}.{ext}"
+def run(argv, config, out, cfg_dir):
+    """Run the CLI with `config` written to cfg_dir/cfg.json and its outputs
+    written to `out`; a run that does not pass raises."""
+    cfg = Path(cfg_dir) / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([*argv, "--config", str(cfg), "--out", str(out)])
+    if rc != 0:
+        raise AssertionError(f"{argv} with {config} exited {rc}")
 
 
-def write_cfg(tmp_path, **kw):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(kw))
-    return str(cfg)
+def assert_golden_run(tmp_path, golden, argv, config):
+    """The two files the run writes are the bytes of their namesakes in golden."""
+    out = tmp_path / "out"
+    run(argv, config, out, tmp_path)
+    written = sorted(out.iterdir())
+    assert len(written) == 2, [p.name for p in written]
+    for path in written:
+        assert path.read_bytes() == (golden / path.name).read_bytes(), path.name
 
 
-@pytest.mark.parametrize("suite", ["verify-core", "verify-kato", "norms", "bounds"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_verify_reports_match_the_golden_bytes(tmp_path, suite):
-    assert main(["verify", "--suite", suite, "--out", str(tmp_path), "--json"]) == 0
-    assert_golden(tmp_path, f"report-{suite}")
+    assert_golden_run(tmp_path, *RUNS[suite])
 
 
 def test_integral_float_N_runs_as_the_integer(tmp_path):
-    cfg = write_cfg(tmp_path, N=32.0)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--json"]) == 0
-    assert_golden(tmp_path, "report-verify-core")
+    assert_golden_run(tmp_path, GOLDEN, ["verify", "--json"], {"N": 32.0})
 
 
-@pytest.mark.parametrize("suite", ["verify-core", "verify-kato", "norms", "bounds"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_n64_verify_reports_match_the_golden_bytes(tmp_path, suite):
-    cfg = write_cfg(tmp_path, N=64)
-    assert main(["verify", "--config", cfg, "--suite", suite, "--out", str(tmp_path),
-                 "--json"]) == 0
-    assert_golden(tmp_path, f"report-{suite}", golden=GOLDEN / "N64")
+    assert_golden_run(tmp_path, *RUNS[f"N64/{suite}"])
 
 
-@pytest.mark.parametrize("route", ["synthesis", "kernel"])
+@pytest.mark.parametrize("route", ROUTES)
 def test_quantize_outputs_match_the_golden_bytes(tmp_path, route):
-    cfg = write_cfg(tmp_path, N=16, route=route)
-    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert_golden(tmp_path, f"op-{route}", ("txt", "json"), GOLDEN / "quantize-N16")
+    assert_golden_run(tmp_path, *RUNS[f"quantize-N16/{route}"])
 
 
 def test_n2_report_matches_the_golden_bytes(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 2, "N": 8, "T": (0.5 * np.eye(4)).tolist()}))
-    assert main(["report", "--config", str(cfg), "--out", str(tmp_path), "--json"]) == 0
-    assert_golden(tmp_path, "report-full")
+    assert_golden_run(tmp_path, *RUNS["report-full"])
+
+
+def record():
+    """Rewrite tests/golden/ from RUNS."""
+    with tempfile.TemporaryDirectory() as cfg_dir:
+        for golden, argv, config in RUNS.values():
+            run(argv, config, golden, cfg_dir)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    record()

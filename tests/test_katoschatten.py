@@ -4,14 +4,16 @@ import pytest
 from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
 from symplecta import katoschatten, spaces
-from symplecta.grid import GridFunction, make_grid, sigma_convolve, translate
+from symplecta.calculus import quantize_T
+from symplecta.grid import (GridFunction, make_grid, sigma_convolve, symplectic_fourier,
+                            translate)
 from symplecta.katoschatten import (NormReport, _cell_reps, _relative_residual, bound_suite,
                                     conjugation_coefficient_residual,
                                     kato_identity_residual, kato_synthesis,
                                     majorization_residual,
                                     multiplier_identity_residual,
                                     polar_absolute_values, schatten_norm)
-from symplecta.weylrep import u_conjugator_batch
+from symplecta.weylrep import matrix_coefficient, u_conjugator, u_conjugator_batch
 
 rng = np.random.default_rng(71)
 
@@ -232,6 +234,42 @@ def test_conjugation_coefficient_formula():
     phi, psi = unit_gaussians_1d(32)
     samples = [(0, 0), (1, 0), (0, 1), (2, -1), (-3, 2)]
     assert conjugation_coefficient_residual(ctx, a, phi, psi, samples) < 1e-6
+
+
+def test_conjugation_coefficient_residual_rejects_empty_samples():
+    ctx = make_ctx(SUITE_T["half"], N=16)
+    a = gaussian(ctx.phase_grid, 1.0)
+    phi, psi = unit_gaussians_1d(16)
+    with pytest.raises(ValueError, match="empty sample list"):
+        conjugation_coefficient_residual(ctx, a, phi, psi, [])
+
+
+def test_majorization_residual_rejects_empty_samples():
+    with pytest.raises(ValueError, match="empty sample list"):
+        majorization_residual(np.eye(4), np.eye(4), np.eye(4), [])
+
+
+def test_sampled_residuals_match_a_one_sample_oracle():
+    ctx = make_ctx(SUITE_T["general"], N=16)
+    a = gaussian(ctx.phase_grid, 1.0, center=(0.2, -0.1))
+    phi, psi = unit_gaussians_1d(16)
+    idx = rng.integers(-8, 8, (12, 2))
+    A = quantize_T(ctx, a)
+    conv = sigma_convolve(a, symplectic_fourier(matrix_coefficient(ctx, phi, psi)))
+    want = 0.0
+    for i in idx:
+        U = u_conjugator(ctx, i * ctx.phase_grid.h)
+        lhs = np.vdot(phi, U @ A @ U.conj().T @ psi)
+        want = max(want, abs(lhs - conv.values[tuple((-i + 8) % 16)]))
+    got = conjugation_coefficient_residual(ctx, a, phi, psi, idx)
+    assert abs(got - want) < 1e-13 and got > 0
+    # a pair relation that fails on some samples, so the residual is positive
+    Tm = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    pairs = rng.standard_normal((30, 2, 6)) + 1j * rng.standard_normal((30, 2, 6))
+    want = max(max(0.0, abs(np.vdot(u, Tm @ v)) ** 2
+                   - np.vdot(u, u).real * np.vdot(v, v).real) for u, v in pairs)
+    got = majorization_residual(Tm, np.eye(6), np.eye(6), pairs)
+    assert want > 0 and abs(got - want) <= 1e-12 * want
 
 
 def test_majorization_identity_case_and_validation():

@@ -8,10 +8,12 @@ approximations that need a smooth symbol.
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import MIXED_T2, kernel_route_loop, make_ctx
 from symplecta.calculus import quantize_T, quantize_theta_tau_kernel, recover_symbol
-from symplecta.cocycle import MultiplierContext, coboundary_residual, cocycle_residual
+from symplecta.cocycle import (MultiplierContext, coboundary, coboundary_residual,
+                               cocycle_residual, omega, omega_tilde)
 from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
 from symplecta.katoschatten import _ambiguity_average
 from symplecta.symplin import SymplecticSpace
@@ -121,3 +123,46 @@ def test_cocycle_and_coboundary_identities(n, seed):
     ctx = MultiplierContext(SymplecticSpace(n), rng.standard_normal((d, d)))
     assert cocycle_residual(ctx, list(rng.standard_normal((20, 3, d)))) < 1e-12
     assert coboundary_residual(ctx, list(rng.standard_normal((20, 2, d)))) < 1e-12
+
+
+def cocycle_oracle(ctx, triples):
+    """cocycle_residual one sample at a time, in scalar arithmetic."""
+    worst = 0.0
+    for xi, eta, zeta in triples:
+        lhs = omega(ctx, xi, eta) * omega(ctx, xi + eta, zeta)
+        rhs = omega(ctx, xi, eta + zeta) * omega(ctx, eta, zeta)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def coboundary_oracle(ctx, pairs):
+    """coboundary_residual one sample at a time, in scalar arithmetic."""
+    worst = 0.0
+    for xi, eta in pairs:
+        lhs = omega_tilde(ctx, xi, eta) / omega(ctx, xi, eta)
+        rhs = coboundary(ctx, xi) * coboundary(ctx, eta) / coboundary(ctx, xi + eta)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@st.composite
+def multiplier_maps(draw):
+    n = draw(st.sampled_from([1, 2]))
+    return n, draw(arrays(float, (2 * n, 2 * n), elements=st.floats(-2.0, 2.0)))
+
+
+@PROPERTY
+@given(nT=multiplier_maps(), scale=st.floats(0.0, 5.0), seed=seeds)
+def test_array_residuals_match_a_one_sample_oracle(nT, scale, seed):
+    n, T = nT
+    ctx = MultiplierContext(SymplecticSpace(n), T)
+    rng = np.random.default_rng(seed)
+    for residual, oracle, k in ((cocycle_residual, cocycle_oracle, 3),
+                                (coboundary_residual, coboundary_oracle, 2)):
+        samples = rng.standard_normal((20, k, 2 * n)) * scale
+        got, want = residual(ctx, samples), oracle(ctx, samples)
+        assert abs(got - want) <= 1e-13
+        assert max(got, want) <= 1e-12
+        # the same samples as a list of tuples and as a generator
+        assert residual(ctx, [tuple(s) for s in samples]) == got
+        assert residual(ctx, (tuple(s) for s in samples)) == got
