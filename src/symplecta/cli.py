@@ -332,25 +332,18 @@ def _suite_norms(cfg, report, rng):
     report.add("thm-n5-support", 0, 0,
                float(np.count_nonzero(sup_before != sup_after)), 0.5)
     # chirp modulation boundedness with a constant frozen on the first symbol
-    const = None
-    worst = 0.0
+    ratios = []
     for i in range(5):
         w = np.exp(-(np.arange(N) - N // 2) ** 2 / (20.0 + 4 * i)).astype(complex)
-        r = (modulation_norm(chirp_TA(A, w), window, 1, 1)
-             / modulation_norm(w, window, 1, 1))
-        if const is None:
-            const = 2.0 * r
-        worst = max(worst, r)
-    report.add("thm-n5-modulation", 1, 1, worst, const)
+        ratios.append(modulation_norm(chirp_TA(A, w), window, 1, 1)
+                      / modulation_norm(w, window, 1, 1))
+    report.add("thm-n5-modulation", 1, 1, max(ratios),
+               report.frozen("thm-n5-modulation", ratios[0]))
     # dilation family
-    const = None
     for lam in (0.5, 2.0, 1.5, 0.8):
         res = dilation_ratio(u, np.array([[lam]]), np.inf, 1, window)
-        r = res["measured"] / res["bound_shape"]
-        if const is None:
-            const = 2.0 * r
-        report.add(f"thm-n6[lam={lam:g}]", np.inf, 1,
-                   res["measured"], const * res["bound_shape"])
+        report.add_calibrated("thm-n6", f"thm-n6[lam={lam:g}]", np.inf, 1,
+                              res["measured"], res["bound_shape"])
     # embedding bound on the line
     k = WeightSpec(((1, 2.0),))
     try:
@@ -368,11 +361,7 @@ def _suite_norms(cfg, report, rng):
 
 
 def _suite_bounds(cfg, report, rng):
-    ctx = _context(cfg)
-    br = bound_suite(ctx)
-    report.rows.extend(br.rows)
-    report.frozen_constants.update(br.frozen_constants)
-    return report
+    return bound_suite(_context(cfg), report)
 
 
 _SUITE_RUNS = {"verify-core": _suite_verify_core, "verify-kato": _suite_verify_kato,
@@ -392,16 +381,10 @@ def _write_report(cfg, report, name, suites):
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
         if cfg.json_mirror:
-            payload = {
-                "rows": [{"quantity": r.quantity, "p": r.p, "q": r.q,
-                          "value": r.value, "bound": r.bound, "ratio": r.ratio,
-                          "pass": r.passed} for r in report.rows],
-                "frozen_constants": report.frozen_constants,
-                "calibration": "frozen constant = 2x first-member measured ratio",
-                "config": {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
-                           "suite": "+".join(suites), "seed": cfg.seed},
-            }
-            _write_json(os.path.join(cfg.out, f"{name}.json"), payload)
+            config = {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
+                      "suite": "+".join(suites), "seed": cfg.seed}
+            with open(os.path.join(cfg.out, f"{name}.json"), "w", encoding="utf-8") as fh:
+                fh.write(report.to_json(config))
     return csv_path
 
 

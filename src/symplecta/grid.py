@@ -95,6 +95,9 @@ def _covariance_matrix(covariance, d):
     ill-conditioned."""
     if len(covariance) == 0:
         return np.eye(d)
+    if len(covariance) not in (d, d * d):
+        raise ValueError(f"covariance must have 0, {d} or {d * d} entries, "
+                         f"got {len(covariance)}")
     cov = np.asarray(covariance, dtype=float)
     with np.errstate(over="ignore"):
         cov = np.diag(cov ** 2) if cov.size == d else cov.reshape(d, d)
@@ -107,6 +110,15 @@ def _covariance_matrix(covariance, d):
     return cov
 
 
+# He_k is of size sqrt(k!) near the origin ((k-1)!! at 0 for even k), and
+# larger away from it: sqrt(k!) passes the float64 maximum 1.8e308 at k = 301
+# and (k-1)!! at k = 302, and every k from 302 to 699 overflows at some point of
+# each lattice tried (N = 4 to 256, centres inside and outside the box).  An
+# index above this limit, where sqrt(k!) is past 1e580, can only end in
+# non-finite values; it is refused before its coefficient list is built.
+_HERMITE_INDEX_MAX = 512
+
+
 def _spec_params(spec, d):
     """(center, covariance, Hermite indices) of a symbol or window spec on d
     axes, empty fields taking their defaults; ValueError when they do not fit."""
@@ -117,6 +129,9 @@ def _spec_params(spec, d):
     if len(hermite) > d:
         raise ValueError(f"hermite_index must have at most {d} entries, "
                          f"got {len(hermite)}")
+    if max(hermite, default=0) > _HERMITE_INDEX_MAX:
+        raise ValueError(f"hermite_index entries must be at most {_HERMITE_INDEX_MAX}, "
+                         f"got {max(hermite)}")
     return center, _covariance_matrix(spec.covariance, d), hermite
 
 
@@ -244,6 +259,8 @@ def sample_symbol(spec, grid):
         raise ValueError(f"unknown symbol kind {spec.kind!r}")
     d = grid.dim
     center, cov, hermite = _spec_params(spec, d)
+    if spec.kind == "chirp-gaussian" and len(spec.chirp) != d * d:
+        raise ValueError(f"chirp must have {d * d} entries, got {len(spec.chirp)}")
     z = grid.points() - center
     with np.errstate(all="ignore"):  # GridFunction rejects what overflows
         vals = _gauss_hermite(z, cov, hermite).astype(complex)

@@ -40,11 +40,17 @@ ambiguity-plan cache: at most 8 plans of 32 MiB in all, the least recently
 used evicted first; a larger plan is not kept.  A plan is 0.30 MiB at N = 48
 and 8.6 MiB (10.6 MiB on a two-box cell) at N = 256, n = 1, and 1.8 MiB at
 N = 16, n = 2.
+
+Norm bounds whose constant the paper leaves open take it from a NormReport:
+the first member of a family freezes it at twice its measured ratio, and the
+report keeps and writes it.  bound_suite fills the report it is given, so a
+report built with constants frozen on one grid checks another.
 """
 
 import csv
 import functools
 import io
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,15 +100,23 @@ def _relative_residual(ref, x):
     return float(diff / scale) if scale else float("inf")
 
 
+def _is_diagonal(A):
+    """No nonzero off-diagonal entry: the one test of kato_synthesis's route
+    and of the cell that a callable density extends over."""
+    return not np.count_nonzero(A - np.diag(np.diag(A)))
+
+
 def _cell_reps(ctx):
-    """Axis repetition counts of the U-periodicity cell, in fundamental boxes."""
-    Ainv = np.linalg.inv(ctx.A)
-    reps = np.rint(np.diag(Ainv)).astype(int)
-    if (np.abs(Ainv - np.diag(np.diag(Ainv))).max() > 1e-9
-            or np.abs(np.diag(Ainv) - reps).max() > 1e-9 or np.any(reps < 1)):
-        raise ValueError("U-periodicity cell is not an integer stack of boxes "
-                         "for this context")
-    return reps
+    """Axis repetition counts of the U-periodicity cell, in fundamental boxes:
+    the diagonal of A^{-1} for a diagonal A."""
+    A = ctx.A
+    if _is_diagonal(A):
+        inv = 1.0 / np.diag(A)
+        reps = np.rint(inv).astype(int)
+        if np.abs(inv - reps).max() <= 1e-9 and np.all(reps >= 1):
+            return reps
+    raise ValueError("U-periodicity cell is not an integer stack of boxes "
+                     "for this context")
 
 
 def _contract(arr, mats, axes):
@@ -177,8 +191,9 @@ def kato_synthesis(ctx, b, G):
 
     GridFunction densities are summed over the fundamental box; callables over
     the full U-periodicity cell (so that b == 1 reproduces the scalar identity
-    exactly).  A diagonal phi S^{-1} takes the ambiguity-domain kernel, a
-    coupled one the shift groups.
+    exactly), which needs phi S^{-1} diagonal with an integer inverse.  A
+    diagonal phi S^{-1} takes the ambiguity-domain kernel, any other the shift
+    groups.
     """
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
@@ -195,7 +210,7 @@ def kato_synthesis(ctx, b, G):
     else:
         raise TypeError("b must be a GridFunction or a callable on phase points")
     A = ctx.A
-    if np.count_nonzero(A - np.diag(np.diag(A))):
+    if not _is_diagonal(A):
         return _accumulate(ctx, bv.ravel(), G) * grid.weight
     return _ambiguity_average(grid, np.diag(A), axes, bv, G) * grid.weight
 
@@ -292,12 +307,15 @@ class NormRow:
 
 @dataclass
 class NormReport:
-    """Norm-bound rows and their constants.  Built without frozen constants the
-    report calibrates them; built with them it only checks against them."""
+    """Norm-bound rows and the constants they are checked against.  Built
+    without frozen constants the report calibrates them (see frozen); built
+    with them it only checks against them.  to_csv and to_json write it."""
 
     rows: list = field(default_factory=list)
     frozen_constants: dict = field(default_factory=dict)
     calibrating: bool = field(init=False)
+
+    _FACTOR = 2.0  # a frozen constant is this multiple of its first measured ratio
 
     def __post_init__(self):
         self.calibrating = not self.frozen_constants
@@ -313,8 +331,12 @@ class NormReport:
         if key not in self.frozen_constants:
             if not self.calibrating:
                 raise ValueError(f"no frozen constant for {key}")
-            self.frozen_constants[key] = 2.0 * ratio
+            self.frozen_constants[key] = self._FACTOR * ratio
         return self.frozen_constants[key]
+
+    def add_calibrated(self, key, quantity, p, q, value, shape=1.0):
+        """Add the row value <= C shape, with C the frozen constant `key`."""
+        self.add(quantity, p, q, value, self.frozen(key, value / shape) * shape)
 
     def all_passed(self):
         return all(r.passed for r in self.rows)
@@ -329,6 +351,16 @@ class NormReport:
                              f"{r.bound:.17g}", f"{r.ratio:.17g}",
                              str(r.passed).lower()])
         return buf.getvalue()
+
+    def to_json(self, config):
+        """The rows, the frozen constants, the calibration rule and the run's
+        config as indented JSON with sorted keys."""
+        rows = [{"quantity": r.quantity, "p": r.p, "q": r.q, "value": r.value,
+                 "bound": r.bound, "ratio": r.ratio, "pass": r.passed} for r in self.rows]
+        rule = f"frozen constant = {self._FACTOR:g}x first-member measured ratio"
+        return json.dumps({"rows": rows, "frozen_constants": self.frozen_constants,
+                           "calibration": rule, "config": config},
+                          indent=2, sort_keys=True) + "\n"
 
 
 def _gauss_family(grid, count):
@@ -353,8 +385,7 @@ def modulation_schatten_rows(ctx, report, window, count=10):
     for p in (1, 2):
         for sv, mn in zip(svals, mnorms):
             sn = _schatten(sv, p)
-            const = report.frozen(f"thm-n7:p={p}", sn / mn[(p, 1)])
-            report.add("thm-n7", p, 1, sn, const * mn[(p, 1)])
+            report.add_calibrated(f"thm-n7:p={p}", "thm-n7", p, 1, sn, mn[(p, 1)])
     return svals
 
 
@@ -365,7 +396,7 @@ def cordes_rows(ctx, report):
     f1 = np.real(PhaseGrid(1, grid.N).dft().conj().T @ ja)  # inverse transform, even
     g = GridFunction(grid, functools.reduce(np.multiply.outer, [f1] * grid.dim))
     val = schatten_norm(quantize_T(ctx, g), 1).norm
-    report.add("cor-n13", 1, 1, val, report.frozen("cor-n13", val))
+    report.add_calibrated("cor-n13", "cor-n13", 1, 1, val)
     return report
 
 
@@ -407,20 +438,18 @@ def interpolation_rows(ctx, report, svals):
                 hn = a.norm_lp(2) * (2 * np.pi) ** (n / 2)  # Lebesgue L^2
             else:
                 hn = sobolev_k_norm(a, k, p)
-            const = report.frozen(f"interp-mu:p={p}", sn / hn)
-            report.add("interp-mu", p, p, sn, const * hn)
+            report.add_calibrated(f"interp-mu:p={p}", "interp-mu", p, p, sn, hn)
     return report
 
 
-def bound_suite(ctx, frozen_constants=None, synthesis_count=20):
-    """Run every norm-bound family, with the default analysis window, and
-    return the populated NormReport.
+def bound_suite(ctx, report, synthesis_count=20):
+    """Add the rows of every norm-bound family to report, with the default
+    analysis window, and return it.
 
-    With frozen_constants supplied the run is a pure check; otherwise the
-    report calibrates them (see NormReport).  Each calibration operator is
-    quantized and decomposed once.
+    A calibrating report freezes the constants; one built with frozen
+    constants only checks against them (see NormReport).  Each calibration
+    operator is quantized and decomposed once.
     """
-    report = NormReport(frozen_constants=dict(frozen_constants or {}))
     svals = modulation_schatten_rows(ctx, report, WindowSpec())
     cordes_rows(ctx, report)
     synthesis_bound_rows(ctx, report, count=synthesis_count)

@@ -22,11 +22,16 @@ SUITE_T = {
 # varies with the modulation coordinates of xi
 MIXED_T2 = 0.5 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 4))
 
+# n = 2 map whose A = phi S^{-1} has a single off-diagonal entry, of 2.5e-14:
+# a coupled map, summed by the shift groups, though A^{-1} is diagonal to 1e-13
+NEAR_DIAGONAL_T2 = np.eye(4) + np.diag([1e-13], k=3)
+
 # (T, n, N) inputs small enough to check a grouped sum against the dense
 # stack of explicit unitaries
 DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
                       + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
-                         pytest.param(MIXED_T2, 2, 4, id="mixed-n2")])
+                         pytest.param(MIXED_T2, 2, 4, id="mixed-n2"),
+                         pytest.param(NEAR_DIAGONAL_T2, 2, 4, id="near-diagonal-n2")])
 
 
 @pytest.fixture(autouse=True)

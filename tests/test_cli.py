@@ -109,11 +109,36 @@ def test_verify_core_transforms_each_random_function_twice(tmp_path, monkeypatch
 
 def test_json_reports_name_the_suites_that_ran(tmp_path):
     cfg = write_cfg(tmp_path, N=8)
-    for argv, name, suite in ((["report"], "report-full", "norms+bounds"),
-                              (["verify", "--suite", "norms"], "report-norms", "norms")):
+    norms = {"thm-n5-modulation", "thm-n6"}
+    bounds = {"thm-n7:p=1", "thm-n7:p=2", "cor-n13", "interp-mu:p=1", "interp-mu:p=2"}
+    for argv, name, suite, keys in (
+            (["report"], "report-full", "norms+bounds", norms | bounds),
+            (["verify", "--suite", "norms"], "report-norms", "norms", norms),
+            (["verify", "--suite", "bounds"], "report-bounds", "bounds", bounds)):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path), "--json"]) == 0
         payload = json.loads((tmp_path / f"{name}.json").read_text())
         assert payload["config"]["suite"] == suite
+        # every calibrated family records its constant
+        assert set(payload["frozen_constants"]) == keys
+
+
+def test_norms_suite_checks_against_a_reports_frozen_constants():
+    # constants frozen at N = 32 bound the N = 64 rows; a calibrating N = 64
+    # run gives each thm-n6 row's shape as bound over its own constant
+    rng = np.random.default_rng(0)
+    frozen = cli._suite_norms(cli.RunConfig(N=32), cli.NormReport(), rng).frozen_constants
+    assert set(frozen) == {"thm-n5-modulation", "thm-n6"}
+    own = cli._suite_norms(cli.RunConfig(N=64), cli.NormReport(), rng)
+    chk = cli._suite_norms(cli.RunConfig(N=64), cli.NormReport(frozen_constants=dict(frozen)),
+                           rng)
+    assert chk.frozen_constants == frozen
+    assert own.frozen_constants["thm-n6"] != frozen["thm-n6"]
+    for r, r_own in zip(chk.rows, own.rows):
+        if r.quantity == "thm-n5-modulation":
+            assert r.bound == frozen["thm-n5-modulation"]
+        elif r.quantity.startswith("thm-n6"):
+            shape = r_own.bound / own.frozen_constants["thm-n6"]
+            assert r.bound == pytest.approx(frozen["thm-n6"] * shape, rel=1e-14)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -386,7 +411,15 @@ def test_non_finite_T_exits_two(tmp_path, capsys, bad):
      "symbol: grid function has non-finite values"),
     # ragged nesting is no list of numbers
     ({"center": [[1], [2, 3]]},
-     "symbol.center must be a list of finite numbers, got [[1], [2, 3]]")])
+     "symbol.center must be a list of finite numbers, got [[1], [2, 3]]"),
+    # lengths that fit no matrix of the field, and an index whose Hermite
+    # coefficient list would not fit in memory
+    ({"covariance": [1, 0, 1]}, "symbol: covariance must have 0, 2 or 4 entries, got 3"),
+    ({"covariance": [1, 0, 0, 1, 0]}, "symbol: covariance must have 0, 2 or 4 entries"),
+    ({"kind": "chirp-gaussian"}, "symbol: chirp must have 4 entries, got 0"),
+    ({"kind": "chirp-gaussian", "chirp": [1, 0, 1]}, "symbol: chirp must have 4 entries"),
+    ({"kind": "hermite-gaussian", "hermite_index": [10 ** 13]},
+     "symbol: hermite_index entries must be at most 512, got 10000000000000")])
 @pytest.mark.filterwarnings("error")
 def test_malformed_symbol_field_exits_two(tmp_path, capsys, symbol, field):
     cfg = write_cfg(tmp_path, N=16, symbol=symbol)

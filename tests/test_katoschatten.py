@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (DENSE_ORACLE_CASES, SUITE_T, gaussian, make_ctx,
+from conftest import (DENSE_ORACLE_CASES, NEAR_DIAGONAL_T2, SUITE_T, gaussian, make_ctx,
                       unit_gaussians_1d)
 from symplecta import katoschatten, spaces
 from symplecta.calculus import quantize_T
@@ -127,6 +127,17 @@ def test_callable_density_needs_a_cell_of_whole_boxes():
     assert np.allclose(np.linalg.inv(ctx.A), np.diag([1.5, 1.0]))
     with pytest.raises(ValueError, match="not an integer stack of boxes"):
         kato_synthesis(ctx, lambda pts: np.ones(len(pts)), np.eye(16))
+
+
+def test_callable_density_on_a_nearly_diagonal_coupled_map_is_refused():
+    # the shift groups take grid samples only; a callable sampled over the
+    # periodicity cell and summed as grid samples missed b == 1's scalar
+    # identity by 0.75 relative
+    ctx = make_ctx(NEAR_DIAGONAL_T2, N=6, n=2)
+    A = ctx.A
+    assert 0 < np.abs(A - np.diag(np.diag(A))).max() < 1e-13
+    with pytest.raises(ValueError, match="not an integer stack of boxes"):
+        kato_synthesis(ctx, lambda pts: np.ones(len(pts)), np.eye(36))
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 4)])
@@ -349,18 +360,18 @@ def test_bound_suite_decomposes_each_operator_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(katoschatten, name, counted)
-    bound_suite(make_ctx(SUITE_T["half"], N=16), synthesis_count=4)
+    bound_suite(make_ctx(SUITE_T["half"], N=16), NormReport(), synthesis_count=4)
     assert calls == {"schatten_norm": 19, "quantize_T": 11}
 
 
 def test_bound_suite_smoke_and_refreeze():
     ctx = make_ctx(SUITE_T["half"], N=16)
-    rep = bound_suite(ctx, synthesis_count=4)
+    rep = bound_suite(ctx, NormReport(), synthesis_count=4)
     assert rep.all_passed()
     tags = {r.quantity for r in rep.rows}
     assert tags == {"thm-n7", "cor-n13", "thm-n15-b", "interp-mu"}
     # a second run against the frozen constants is a pure check
-    rep2 = bound_suite(ctx, frozen_constants=rep.frozen_constants,
+    rep2 = bound_suite(ctx, NormReport(frozen_constants=dict(rep.frozen_constants)),
                        synthesis_count=4)
     assert rep2.all_passed()
     assert rep2.frozen_constants == rep.frozen_constants
@@ -385,7 +396,7 @@ def test_bound_suite_takes_no_multidimensional_stft(monkeypatch, n, N):
     # the calibration members are products: their modulation norms come from
     # 1-D passes, one per axis, never from the d-dimensional one
     dims = stft_dims(monkeypatch)
-    bound_suite(make_ctx(0.5 * np.eye(2 * n), N=N, n=n), synthesis_count=4)
+    bound_suite(make_ctx(0.5 * np.eye(2 * n), N=N, n=n), NormReport(), synthesis_count=4)
     assert dims == [1] * (10 * 2 * n)
 
 
