@@ -18,8 +18,8 @@ inverts the quantization exactly.
 
 import numpy as np
 
-from .grid import (GridFunction, _centred_diagonals, _ord_ft, _read_rows, _write_rows,
-                   apply_multiplier, pullback, symplectic_fourier)
+from .grid import (GridFunction, _centred_diagonals, _is_diagonal, _lattice_index, _ord_ft,
+                   _read_rows, _write_rows, apply_multiplier, pullback, symplectic_fourier)
 from .weylrep import _analyze, _synthesize
 
 
@@ -38,7 +38,7 @@ def quantize_weyl(ctx, b):
     by pulling b back along S^{-1} (band-limited resampling) and rescaling;
     the scaling factor cancels against the S-scaled measure weight.
     """
-    bs = pullback(np.linalg.inv(ctx.S), b, mode="resampled")
+    bs = pullback(ctx.Sinv, b, mode="resampled")
     cb = symplectic_fourier(bs).values.ravel()
     return _synthesize(ctx, cb * ctx.phase_grid.weight)
 
@@ -60,7 +60,7 @@ def lambda_transform(ctx, a):
 def inverse_lambda_transform(ctx, b):
     """Inverse of the symbol transform: divide out lam after composing with S^{-1}."""
     pts = ctx.phase_grid.points()
-    bs = pullback(np.linalg.inv(ctx.S), b, mode="resampled")
+    bs = pullback(ctx.Sinv, b, mode="resampled")
     lam_conj = np.conj(ctx.lam_values(pts)).reshape(b.values.shape)
     return apply_multiplier(lam_conj, bs)
 
@@ -80,7 +80,7 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
     """
     if grid.n != 1:
         raise ValueError("the kernel route is implemented for n = 1")
-    if abs(theta + tau - 1.0) > 1e-12:
+    if not abs(theta + tau - 1.0) <= 1e-12:  # nan fails too
         raise ValueError(f"the kernel route needs theta + tau = 1, got "
                          f"theta + tau = {float(theta + tau)!r}")
     N, h, x = grid.N, grid.h, np.asarray(grid.axis)
@@ -101,16 +101,16 @@ def recover_symbol(ctx, A):
     is one analysis, the adjoint of the synthesis.  When phi expands the
     modulation lattice (s > 1) the frequencies alias s:1 and only the canonical
     low-frequency representatives |j - N/2| < N/(2s) are kept; the aliased
-    coefficients are set to zero.
+    coefficients are set to zero.  phi must be diagonal (grid._is_diagonal) with
+    phi[0, 0] == 1, and s = phi[1, 1] an integer by grid._lattice_index.
     """
     if ctx.space.n != 1:
         raise ValueError("symbol recovery is implemented for n = 1")
     phi = ctx.phi
-    if not (abs(phi[0, 0] - 1.0) < 1e-12 and abs(phi[0, 1]) < 1e-12
-            and abs(phi[1, 0]) < 1e-12):
+    if not (_is_diagonal(phi) and phi[0, 0] == 1.0):
         raise ValueError("recovery requires a diagonal normalization with unit shift block")
-    s = int(round(phi[1, 1]))
-    if abs(phi[1, 1] - s) > 1e-12 or s < 1:
+    s = _lattice_index(phi[1, 1])
+    if s is None or s < 1:
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
     N, pts = grid.N, grid.points()

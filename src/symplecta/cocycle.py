@@ -81,14 +81,14 @@ def regular_representation(ctx, xi, f):
     """(R(xi) f)(eta) = omega(eta, xi) f(eta + xi) with periodic wraparound:
     omega(., xi) times the translate of f by -xi.
 
-    xi must be a lattice point of f's grid (exact mode); the result is unitary
+    xi must be a lattice point of f's grid (exact roll); the result is unitary
     on the grid inner product and satisfies R(xi)R(eta) = omega(xi,eta)R(xi+eta).
     """
     grid = f.grid
     xi = np.asarray(xi, dtype=float)
     if _lattice_index(xi / grid.h) is None:
-        raise ValueError("off-grid xi; use a lattice point (resampled mode is "
-                         "available through grid.translate)")
+        raise ValueError("off-grid xi; use a lattice point (grid.translate "
+                         "shifts by any xi)")
     pts = grid.points()
     phase = omega(ctx, pts, np.broadcast_to(xi, pts.shape)).reshape(f.values.shape)
     return GridFunction(grid, phase * translate(-xi, f).values)

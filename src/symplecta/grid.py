@@ -62,6 +62,12 @@ def _lattice_index(x):
     return xi if np.abs(x - xi).max() < 1e-9 else None
 
 
+def _is_diagonal(A):
+    """No nonzero off-diagonal entry (nan counts as nonzero): the one test
+    of whether a map or a covariance acts axis by axis."""
+    return not np.count_nonzero(A - np.diag(np.diag(A)))
+
+
 def _check_exponent(name, p):
     """Reject a Lebesgue exponent outside (0, inf], nan included."""
     if not 0 < p <= np.inf:
@@ -300,15 +306,9 @@ def symplectic_fourier(f):
 
 
 def apply_multiplier(lam, f):
-    """Apply the sigma-Fourier multiplier lam: F (lam . F f).
-
-    lam may be an ndarray of grid values or a callable evaluated on the grid
-    points.
-    """
-    if callable(lam):
-        lv = np.asarray(lam(f.grid.points()), dtype=complex).reshape(f.values.shape)
-    else:
-        lv = np.asarray(lam, dtype=complex).reshape(f.values.shape)
+    """Apply the sigma-Fourier multiplier lam, an array of its values at the
+    grid points (any shape of that size): F (lam . F f)."""
+    lv = np.asarray(lam, dtype=complex).reshape(f.values.shape)
     if not np.all(np.isfinite(lv)):
         bad = np.argwhere(~np.isfinite(lv))[0]
         raise ArithmeticError(f"non-finite multiplier value at index {tuple(bad)}")
@@ -356,7 +356,7 @@ def _resample(vals, A, mask_outside=False):
     ax = _axis(N)
     # Fourier coefficients over the centered frequency lattice (same lattice).
     fk = _ord_ft(vals) / N**d
-    diagonal = np.abs(A - np.diag(np.diag(A))).max() < 1e-14
+    diagonal = _is_diagonal(A)
     if mask_outside or not diagonal:
         kpts = _lattice_points(N, d)
         tgt = kpts @ A.T  # (P, d)
@@ -380,18 +380,16 @@ def _resample(vals, A, mask_outside=False):
     return out.reshape(vals.shape)
 
 
-def translate(xi, f, mode="auto"):
+def translate(xi, f):
     """Translate (tau_xi f)(.) = f(. - xi).
 
-    mode="auto": a lattice xi is an exact cyclic index shift.  Off-lattice xi,
-    or mode="resampled": the Fourier multiplier e^{-i sigma(., xi)}, i.e. a
-    band-limited periodic shift.
+    A lattice xi (by _lattice_index) is an exact cyclic index shift; any other
+    xi is the Fourier multiplier e^{-i sigma(., xi)}, a band-limited periodic
+    shift.
     """
-    if mode not in ("auto", "resampled"):
-        raise ValueError(f"unknown translate mode {mode!r}")
     grid = f.grid
     xi = np.asarray(xi, dtype=float)
-    idx = _lattice_index(xi / grid.h) if mode == "auto" else None
+    idx = _lattice_index(xi / grid.h)
     if idx is not None:
         out = np.roll(f.values, shift=tuple(int(k) for k in idx),
                       axis=tuple(range(grid.dim)))

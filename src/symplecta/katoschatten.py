@@ -58,8 +58,8 @@ import numpy as np
 from .calculus import quantize_T
 from .cocycle import _stack_samples
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
-                   _centred_roll, _gaussian, _product_points, apply_multiplier,
-                   sigma_convolve, symplectic_fourier)
+                   _centred_roll, _gaussian, _is_diagonal, _lattice_index, _product_points,
+                   apply_multiplier, sigma_convolve, symplectic_fourier)
 from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
 from .weylrep import _accumulate, matrix_coefficient, u_conjugator_batch
 
@@ -100,21 +100,15 @@ def _relative_residual(ref, x):
     return float(diff / scale) if scale else float("inf")
 
 
-def _is_diagonal(A):
-    """No nonzero off-diagonal entry: the one test of kato_synthesis's route
-    and of the cell that a callable density extends over."""
-    return not np.count_nonzero(A - np.diag(np.diag(A)))
-
-
 def _cell_reps(ctx):
     """Axis repetition counts of the U-periodicity cell, in fundamental boxes:
-    the diagonal of A^{-1} for a diagonal A."""
+    the diagonal of A^{-1} for an exactly diagonal A (grid._is_diagonal), when
+    it passes the lattice test of grid._lattice_index and is positive."""
     A = ctx.A
     if _is_diagonal(A):
-        inv = 1.0 / np.diag(A)
-        reps = np.rint(inv).astype(int)
-        if np.abs(inv - reps).max() <= 1e-9 and np.all(reps >= 1):
-            return reps
+        reps = _lattice_index(1.0 / np.diag(A))
+        if reps is not None and np.all(reps >= 1):
+            return reps.astype(int)
     raise ValueError("U-periodicity cell is not an integer stack of boxes "
                      "for this context")
 

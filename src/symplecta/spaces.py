@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, _axis, _centred_roll, _check_exponent, _gauss_hermite,
-                   _lattice_points, _lattice_spacing, _ord_ft, _ord_ift, _resample,
-                   _spec_params)
+                   _is_diagonal, _lattice_points, _lattice_spacing, _ord_ft, _ord_ift,
+                   _resample, _spec_params)
 from .symplin import _singular
 
 
@@ -91,7 +91,7 @@ def _window_factors(window, d, N):
     """The 1-D factors chi_a on the centered axis with chi = chi_0 x ... x
     chi_{d-1}; ValueError unless the covariance is diagonal."""
     center, cov, hermite = _spec_params(window, d)
-    if np.count_nonzero(cov - np.diag(np.diag(cov))):
+    if not _is_diagonal(cov):
         raise ValueError("window covariance must be diagonal")
     with np.errstate(all="ignore"):  # a window that overflows is rejected below
         factors = np.stack([_gauss_hermite((_axis(N) - center[ax])[:, None],

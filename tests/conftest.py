@@ -31,7 +31,9 @@ NEAR_DIAGONAL_T2 = np.eye(4) + np.diag([1e-13], k=3)
 DENSE_ORACLE_CASES = ([pytest.param(SUITE_T[k], 1, 12, id=k) for k in sorted(SUITE_T)]
                       + [pytest.param(0.5 * np.eye(4), 2, 4, id="half-n2"),
                          pytest.param(MIXED_T2, 2, 4, id="mixed-n2"),
-                         pytest.param(NEAR_DIAGONAL_T2, 2, 4, id="near-diagonal-n2")])
+                         pytest.param(NEAR_DIAGONAL_T2, 2, 4, id="near-diagonal-n2"),
+                         pytest.param(MIXED_T2, 2, 6, id="mixed-n2-N6"),
+                         pytest.param(NEAR_DIAGONAL_T2, 2, 6, id="near-diagonal-n2-N6")])
 
 
 @pytest.fixture(autouse=True)

@@ -76,6 +76,13 @@ def test_kernel_route_rejects_theta_plus_tau_not_one():
             quantize_theta_tau_kernel(g, one, one, a)
 
 
+@pytest.mark.parametrize("theta,tau", [(np.nan, 0.5), (0.5, np.nan)])
+def test_kernel_route_rejects_nan(theta, tau):
+    g = make_grid(1, 16)
+    with pytest.raises(ValueError, match=r"theta \+ tau = nan$"):
+        quantize_theta_tau_kernel(g, theta, tau, gaussian(g, 1.0))
+
+
 def test_kernel_route_requires_one_degree_of_freedom():
     g = make_grid(2, 8)
     with pytest.raises(ValueError):
@@ -92,6 +99,15 @@ def test_symbol_recovery_round_trip(name, N, width, tol):
     a = gaussian(ctx.phase_grid, width, center=(0.3, -0.1), tilt=0.2)
     back = recover_symbol(ctx, quantize_T(ctx, a))
     assert np.abs(back.values - a.values).max() < tol
+
+
+def test_symbol_recovery_takes_a_modulation_scale_near_one():
+    # phi[1, 1] - 1 is 1.00009e-12: an integer scale by the lattice test
+    ctx = make_ctx(np.diag([0.5, 0.5 + 1e-12]), N=64)
+    assert 0 < abs(ctx.phi[1, 1] - 1.0) < 1e-9
+    a = gaussian(ctx.phase_grid, 1.0, center=(0.3, -0.1), tilt=0.2)
+    back = recover_symbol(ctx, quantize_T(ctx, a))
+    assert np.abs(back.values - a.values).max() < 1e-10
 
 
 def test_symbol_recovery_of_identity_is_unit_symbol():

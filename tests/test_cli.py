@@ -176,8 +176,7 @@ def test_quantize_identity_from_file_symbol(tmp_path, capsys):
     g = make_grid(1, 16)
     sym = tmp_path / "ones.sgrid"
     write_grid_function(GridFunction(g, np.ones((16, 16))), sym)
-    cfg = write_cfg(tmp_path, N=16, suite="quantize",
-                    symbol={"kind": "file", "path": str(sym)})
+    cfg = write_cfg(tmp_path, N=16, symbol={"kind": "file", "path": str(sym)})
     rc = main(["quantize", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     A = read_operator(tmp_path / "op-synthesis.txt")
@@ -212,6 +211,15 @@ def test_kernel_route_rejects_nondiagonal(tmp_path):
     cfg = write_cfg(tmp_path, N=16, route="kernel",
                     T=[[0.2, 0.5], [-0.3, 0.8]])
     assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_kernel_route_rejects_a_nearly_diagonal_t(tmp_path, capsys):
+    # the kernel reads T[0, 0] and T[1, 1] only, so any off-diagonal entry,
+    # however small, would be dropped without a word
+    cfg = write_cfg(tmp_path, N=16, route="kernel", T=[[0.5, 1e-13], [0.0, 0.5]])
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "kernel route needs n=1 and diagonal T" in capsys.readouterr().err
+    assert not (tmp_path / "op-kernel.txt").exists()
 
 
 def test_kernel_route_rejects_theta_plus_tau_not_one(tmp_path, capsys):

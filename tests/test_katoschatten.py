@@ -99,7 +99,7 @@ def test_synthesis_matches_dense_conjugator_sum(T, n, N):
 
     def dense(pts, bv):
         U = u_conjugator_batch(ctx, pts)
-        return np.einsum("i,iab,bc,idc->ad", bv, U, G, U.conj()) * g.weight
+        return np.einsum("i,iab,bc,idc->ad", bv, U, G, U.conj(), optimize=True) * g.weight
 
     b = gaussian(g, 1.0, center=(0.3,) + (-0.2,) * (g.dim - 1), tilt=0.2)
     # exact zeros at 4 in 5 points: a shift group whose densities all vanish
@@ -154,7 +154,7 @@ def test_callable_density_on_the_two_box_cell_of_t_identity(n, N):
     f = lambda pts: np.exp(-(pts ** 2).sum(1) / 4) * (1 + 0.2j * pts[:, -1])
     G = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
     U = u_conjugator_batch(ctx, cell)
-    want = np.einsum("i,iab,bc,idc->ad", f(cell), U, G, U.conj()) * g.weight
+    want = np.einsum("i,iab,bc,idc->ad", f(cell), U, G, U.conj(), optimize=True) * g.weight
     got = kato_synthesis(ctx, f, G)
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -223,7 +223,7 @@ def test_frequency_multiplier_translation_action():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     from symplecta.grid import apply_multiplier
     hm = lambda pts: np.exp(-1j * (pts @ (J @ zeta)))
-    lhs = apply_multiplier(hm, f)
+    lhs = apply_multiplier(hm(g.points()), f)
     rhs = translate(zeta, f)
     assert np.abs(lhs.values - rhs.values).max() < 1e-10
 
@@ -236,7 +236,7 @@ def test_multiplier_identity_with_translation_multiplier():
     zeta = np.array([1.0, 1.0]) * g.h
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     hm = lambda pts: np.exp(-1j * (pts @ (J @ zeta)))
-    assert multiplier_identity_residual(ctx, b, c, hm) < 1e-6
+    assert multiplier_identity_residual(ctx, b, c, hm(g.points())) < 1e-6
 
 
 def test_conjugation_coefficient_formula():
