@@ -35,10 +35,11 @@ def quantize_weyl(ctx, b):
     """Quantization of b against the normalized system (the S-scaled route).
 
     The synthesis coefficients are the sigma_S-Fourier transform of b, computed
-    by pulling b back along S^{-1} (band-limited resampling) and rescaling;
-    the scaling factor cancels against the S-scaled measure weight.
+    by pulling b back along S^{-1} (an exact gather for a lattice S^{-1}, the
+    periodic trigonometric extension of b otherwise) and rescaling; the
+    scaling factor cancels against the S-scaled measure weight.
     """
-    bs = pullback(ctx.Sinv, b, mode="resampled")
+    bs = pullback(ctx.Sinv, b)
     cb = symplectic_fourier(bs).values.ravel()
     return _synthesize(ctx, cb * ctx.phase_grid.weight)
 
@@ -47,20 +48,20 @@ def lambda_transform(ctx, a):
     """The symbol transform Lam: Op_T(a) = Op_tilde(Lam a).
 
     Multiplies the sigma-Fourier transform by lam(xi) = e^{-(i/2) sigma(xi,T xi)}
-    and composes with the lattice map S.  The composition is truncated (zero
+    and composes with S.  The composition is truncated (zero
     outside the fundamental box) rather than wrapped, since a wrapped expansion
     would fold in spurious periodic copies of the symbol; for S = I it is the
     identity gather.
     """
     pts = ctx.phase_grid.points()
     lam = ctx.lam_values(pts).reshape(a.values.shape)
-    return pullback(ctx.S, apply_multiplier(lam, a), mode="truncated")
+    return pullback(ctx.S, apply_multiplier(lam, a), truncate=True)
 
 
 def inverse_lambda_transform(ctx, b):
     """Inverse of the symbol transform: divide out lam after composing with S^{-1}."""
     pts = ctx.phase_grid.points()
-    bs = pullback(ctx.Sinv, b, mode="resampled")
+    bs = pullback(ctx.Sinv, b)
     lam_conj = np.conj(ctx.lam_values(pts)).reshape(b.values.shape)
     return apply_multiplier(lam_conj, bs)
 

@@ -57,9 +57,11 @@ def _ord_ift(vals, axes=None):
 
 def _lattice_index(x):
     """The integers nearest to x, as floats, or None unless every entry of x
-    lies within 1e-9 of them (nan never does)."""
+    lies within 1e-9 of them (nan never does, nor does an infinite entry,
+    whose residual inf - inf is nan)."""
     xi = np.rint(x)
-    return xi if np.abs(x - xi).max() < 1e-9 else None
+    with np.errstate(invalid="ignore"):
+        return xi if np.abs(x - xi).max() < 1e-9 else None
 
 
 def _is_diagonal(A):
@@ -316,67 +318,56 @@ def apply_multiplier(lam, f):
     return symplectic_fourier(GridFunction(f.grid, lv * g.values))
 
 
-def pullback(A, f, mode="exact"):
-    """Pullback A^* f = f(A .) on the grid.
-
-    mode="exact": A must be integer in grid units; samples are permuted with
-    periodic wraparound (unimodular lattice maps are exactly invertible).
-    mode="resampled": values of the band-limited (trigonometric) extension of
-    f at the points A * xi; the extension is periodic.
-    mode="truncated": like exact/resampled but points A * xi that leave the
-    fundamental box give 0 instead of wrapping — the faithful choice for
-    expanding lattice maps applied to decaying symbols.
-    """
-    A = np.asarray(A, dtype=float)
-    grid = f.grid
-    if _singular(A):
-        raise ValueError("singular pullback map")
-    N = grid.N
-    Ai = _lattice_index(A) if mode in ("exact", "truncated") else None
-    if Ai is not None and np.abs(Ai).max() <= 2**31:  # an integer index map
-        m = np.indices((N,) * grid.dim).reshape(grid.dim, -1).T - N // 2  # (P, 2n)
-        tgt = m @ Ai.astype(int).T + N // 2
-        out = f.values.ravel()[np.ravel_multi_index(tuple(tgt.T), f.values.shape,
-                                                    mode="wrap")]
-        if mode == "truncated":
-            out[np.any((tgt < 0) | (tgt >= N), axis=1)] = 0.0
-        return GridFunction(grid, out)
-    if mode == "exact":
-        raise ValueError("exact pullback needs a lattice map; use mode='resampled'")
-    if mode not in ("resampled", "truncated"):
-        raise ValueError(f"unknown pullback mode {mode!r}")
-    return GridFunction(grid, _resample(f.values, A, mask_outside=mode == "truncated"))
+def pullback(A, f, *, truncate=False):
+    """Pullback A^* f = f(A .) on the grid, by _resample: an exact gather for
+    a lattice map, the periodic trigonometric extension of f otherwise.  With
+    truncate, points A xi that leave the fundamental box give 0 instead of
+    wrapping, the faithful choice for expanding maps applied to decaying
+    symbols."""
+    return GridFunction(f.grid, _resample(f.values, A, mask_outside=truncate))
 
 
 def _resample(vals, A, mask_outside=False):
-    """Trigonometric interpolation of lattice samples (any dimension d) at the
-    points A x of the same lattice; with mask_outside, points that leave the
-    fundamental box give 0."""
+    """Lattice samples (any dimension d) evaluated at the points A x of the
+    same lattice, with periodic wraparound; the one evaluation along a linear
+    map.  ValueError when A is singular or not finite (symplin._singular).  A
+    lattice map (_lattice_index, entries up to 2^31) gathers the samples
+    exactly; any other diagonal map (_is_diagonal) takes the per-axis
+    trigonometric interpolation, O(d N^{d+1}), and any other map the dense
+    trigonometric sum.  With mask_outside, points A x that leave the
+    fundamental box give 0.
+    """
+    A = np.asarray(A, dtype=float)
+    if _singular(A):
+        raise ValueError("singular resampling map")
     N, d = vals.shape[0], vals.ndim
-    ax = _axis(N)
-    # Fourier coefficients over the centered frequency lattice (same lattice).
-    fk = _ord_ft(vals) / N**d
-    diagonal = _is_diagonal(A)
-    if mask_outside or not diagonal:
-        kpts = _lattice_points(N, d)
-        tgt = kpts @ A.T  # (P, d)
-    if diagonal:
-        # diagonal map: separable per-axis interpolation, O(d N^{d+1})
-        out = fk
+    m = np.indices((N,) * d).reshape(d, -1).T - N // 2  # centered indices, (P, d)
+    Ai = _lattice_index(A)
+    if Ai is not None and np.abs(Ai).max() <= 2**31:  # an integer index map
+        A = Ai
+        tgt = m @ Ai.astype(int).T + N // 2
+        out = vals.ravel()[np.ravel_multi_index(tuple(tgt.T), vals.shape, mode="wrap")]
+    elif _is_diagonal(A):
+        ax = _axis(N)
+        out = _ord_ft(vals) / N**d
         for i in range(d):
             E = np.exp(1j * np.outer(A[i, i] * ax, ax))  # (t, k)
             out = np.moveaxis(np.tensordot(E, np.moveaxis(out, i, 0), axes=(1, 0)), 0, i)
         out = out.ravel()
     else:
+        kpts = _lattice_points(N, d)
+        tgt = kpts @ A.T
+        fkv = _ord_ft(vals).ravel() / N**d
         out = np.empty(tgt.shape[0], complex)
-        fkv = fk.ravel()
         chunk = max(1, (1 << 22) // kpts.shape[0])
         for i0 in range(0, tgt.shape[0], chunk):
             ph = np.exp(1j * (tgt[i0:i0 + chunk] @ kpts.T))
             out[i0:i0 + chunk] = ph @ fkv
     if mask_outside:
-        L = N * _lattice_spacing(N)
-        out[~np.all((tgt >= -L / 2 - 1e-12) & (tgt < L / 2 - 1e-12), axis=1)] = 0.0
+        # the box [-N/2, N/2) per axis in grid units, with the margin 1e-12
+        # of the coordinates
+        y, tol = m @ A.T, 1e-12 / _lattice_spacing(N)
+        out[np.any((y < -N / 2 - tol) | (y >= N / 2 - tol), axis=1)] = 0.0
     return out.reshape(vals.shape)
 
 

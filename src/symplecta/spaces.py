@@ -359,9 +359,10 @@ def chirp_TA(A, u):
 
 
 def trig_resample(vals, A):
-    """Band-limited (trigonometric) evaluation of vals at the points A x over
-    the same lattice; separable fast path for diagonal A."""
-    return _resample(vals, np.asarray(A, dtype=float))
+    """vals evaluated at the points A x of the same lattice, periodically: the
+    array entry to grid._resample (exact gather for a lattice map, trigonometric
+    interpolation otherwise; ValueError for a singular or non-finite A)."""
+    return _resample(vals, A)
 
 
 def dilation_ratio(u, lam, p, q, window=None):
@@ -376,8 +377,6 @@ def dilation_ratio(u, lam, p, q, window=None):
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0:
         lam = float(lam) * np.eye(d)
-    if _singular(lam):
-        raise ValueError("singular dilation matrix")
     if window is None:
         window = WindowSpec()
     dil = trig_resample(uvals, lam)

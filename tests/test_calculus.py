@@ -33,6 +33,15 @@ def test_two_quantization_routes_agree(name, N, width):
     assert np.abs(A1 - A2).max() / scale < 1e-7
 
 
+def test_weyl_quantization_reads_the_samples_along_a_lattice_s_inverse():
+    # T = I/2 gives S^{-1} = I: the pullback is the identity gather, so the
+    # synthesis coefficients are the plain transform of b
+    ctx = make_ctx(SUITE_T["half"], N=16)
+    b = gaussian(ctx.phase_grid, 1.1, tilt=0.3)
+    want = _synthesize(ctx, symplectic_fourier(b).values.ravel() * ctx.phase_grid.weight)
+    assert np.array_equal(quantize_weyl(ctx, b), want)
+
+
 def test_symbol_transform_round_trip_unit_scaling():
     # S = identity: the transform is a pure multiplier, inverted exactly
     ctx = make_ctx(SUITE_T["general"], N=32)

@@ -5,7 +5,7 @@ from conftest import SUITE_T, gaussian
 from symplecta.cocycle import (MultiplierContext, coboundary, coboundary_residual,
                                cocycle_residual, omega, omega_tilde,
                                regular_representation)
-from symplecta.grid import GridFunction, make_grid
+from symplecta.grid import GridFunction, make_grid, translate
 from symplecta.symplin import SymplecticSpace
 
 rng = np.random.default_rng(23)
@@ -101,3 +101,15 @@ def test_regular_representation_rejects_off_grid_shift():
     f = gaussian(grid)
     with pytest.raises(ValueError):
         regular_representation(ctx, np.array([0.5 * grid.h, 0.0]), f)
+
+
+def test_a_non_finite_shift_raises_its_error_without_a_warning():
+    # the lattice test of an infinite shift is a nan residual, not a numpy
+    # warning (the suite turns RuntimeWarning into an error)
+    grid = make_grid(1, 16)
+    f = gaussian(grid)
+    xi = np.array([np.inf, 0.0])
+    with pytest.raises(ArithmeticError, match="non-finite multiplier"):
+        translate(xi, f)
+    with pytest.raises(ValueError, match="off-grid xi"):
+        regular_representation(MultiplierContext(SP, SUITE_T["half"]), xi, f)

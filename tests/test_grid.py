@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -93,24 +95,77 @@ def test_exact_pullback_composes_contravariantly():
     f = GridFunction(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     B = np.array([[1.0, 0.0], [-2.0, 1.0]])
-    lhs = pullback(A, pullback(B, f, "exact"), "exact")
-    rhs = pullback(B @ A, f, "exact")
+    lhs = pullback(A, pullback(B, f))
+    rhs = pullback(B @ A, f)
     assert np.abs(lhs.values - rhs.values).max() == 0.0
 
 
-def test_resampled_pullback_matches_exact_on_lattice_maps():
-    g = make_grid(1, 16)
-    f = GridFunction(g, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    ex = pullback(A, f, "exact")
-    rs = pullback(A, f, "resampled")
-    assert np.abs(ex.values - rs.values).max() < 1e-9
+# maps of each route of grid._resample: lattice maps gather, other diagonal
+# maps interpolate per axis, and the rest take the dense sum; one
+# off-diagonal entry of 1e-15 makes "coupled" take the dense sum
+RESAMPLE_MAPS = {
+    "I": (np.eye(2), True),
+    "2I": (2 * np.eye(2), True),
+    "shear": (np.array([[1.0, 1.0], [0.0, 1.0]]), True),
+    "half": (0.5 * np.eye(2), False),
+    "diag": (np.diag([0.5, 2.0]), False),
+    "coupled": (np.array([[0.5, 1e-15], [0.0, 2.0]]), False),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def dense_resample(name, n, N):
+    """Random samples f on the n-dimensional grid, the map A (+) ... (+) A and
+    f's trigonometric extension evaluated point by point at A xi, its sum over
+    the frequencies k taken one axis of k at a time."""
+    g = make_grid(n, N)
+    f = GridFunction(g, np.random.default_rng(5).standard_normal(N ** g.dim) + 0j)
+    A = np.kron(np.eye(n), RESAMPLE_MAPS[name][0])
+    dense = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))).reshape(1, -1)
+    tgt = g.points() @ A.T
+    for j in range(g.dim):
+        E = np.exp(1j * np.outer(tgt[:, j], g.axis))  # (point, k_j)
+        dense = (E[:, None, :] @ dense.reshape(len(dense), N, -1))[:, 0]
+    dense = dense.reshape(f.values.shape) / N ** g.dim
+    L = g.box_length
+    inside = np.all((tgt >= -L / 2 - 1e-9) & (tgt < L / 2 - 1e-9), axis=1)
+    return f, A, dense, inside.reshape(f.values.shape)
+
+
+@pytest.mark.parametrize("truncate", [False, True], ids=["wrap", "truncate"])
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8)], ids=["n1", "n2"])
+@pytest.mark.parametrize("name", sorted(RESAMPLE_MAPS))
+def test_pullback_matches_the_dense_trigonometric_sum(name, n, N, truncate):
+    f, A, dense, inside = dense_resample(name, n, N)
+    if truncate:
+        dense = np.where(inside, dense, 0.0)
+    out = pullback(A, f, truncate=truncate).values
+    assert np.abs(out - dense).max() < 1e-9
+    if RESAMPLE_MAPS[name][1]:
+        # a lattice map reads the samples themselves: the plain index gather
+        m = np.indices(f.values.shape).reshape(f.grid.dim, -1).T - N // 2
+        idx = (m @ A.astype(int).T + N // 2) % N
+        gather = f.values[tuple(idx.T)].reshape(f.values.shape)
+        assert np.array_equal(out, np.where(inside, gather, 0.0) if truncate else gather)
+
+
+def test_exact_pullback_requires_lattice_map():
+    # every non-singular map is evaluated now; the zero map is still refused
+    f = gaussian(make_grid(1, 8))
+    with pytest.raises(ValueError, match="singular"):
+        pullback(np.zeros((2, 2)), f)
+
+
+def test_pullback_takes_no_positional_mode():
+    f = gaussian(make_grid(1, 8))
+    with pytest.raises(TypeError):
+        pullback(np.eye(2), f, "exact")
 
 
 def test_truncated_pullback_zeroes_escaping_points():
     g = make_grid(1, 8)
     f = GridFunction(g, np.ones(64))
-    out = pullback(2 * np.eye(2), f, "truncated")
+    out = pullback(2 * np.eye(2), f, truncate=True)
     # 2*xi stays in the box only for indices in [-2, 2)
     v = out.values
     assert v[4 - 2, 4] == 1.0 and v[4, 4 + 1] == 1.0
@@ -123,52 +178,21 @@ def test_truncated_pullback_along_a_huge_lattice_map_keeps_only_the_origin():
     g = make_grid(1, 16)
     f = gaussian(g)
     with np.errstate(all="raise"):
-        v = pullback(2e200 * np.eye(2), f, "truncated").values.copy()
+        v = pullback(2e200 * np.eye(2), f, truncate=True).values.copy()
     assert abs(v[8, 8] - f.values[8, 8]) < 1e-12
     v[8, 8] = 0.0
     assert np.abs(v).max() == 0.0
-
-
-def test_exact_pullback_requires_lattice_map():
-    g = make_grid(1, 8)
-    f = gaussian(g)
-    with pytest.raises(ValueError):
-        pullback(1.5 * np.eye(2), f, "exact")
-    with pytest.raises(ValueError):
-        pullback(np.zeros((2, 2)), f)
-
-
-def test_pullback_rejects_an_unknown_mode():
-    f = gaussian(make_grid(1, 8))
-    with pytest.raises(ValueError, match="unknown pullback mode 'wrapped'"):
-        pullback(np.eye(2), f, "wrapped")
 
 
 def test_pullback_singularity_test_is_scale_free():
     g = make_grid(1, 16)
     f = gaussian(g)
     # a tiny but well-conditioned map collapses every point onto the origin
-    out = pullback(1e-8 * np.eye(2), f, "resampled")
+    out = pullback(1e-8 * np.eye(2), f)
     assert np.abs(out.values - f.values[8, 8]).max() < 1e-6
-    with pytest.raises(ValueError, match="singular"):
-        pullback(np.diag([1.0, 1e-12]), f, "resampled")
-    with pytest.raises(ValueError, match="singular"):
-        pullback(np.diag([1.0, np.inf]), f, "resampled")
-
-
-def test_diagonal_resample_matches_dense_evaluation():
-    g = make_grid(1, 16)
-    f = gaussian(g, 1.2, tilt=0.2)
-    # dense oracle: evaluate the trigonometric expansion point by point
-    N = 16
-    fk = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) / N ** 2
-    pts = g.points()
-    # one off-diagonal entry of 1e-15 makes the second map coupled: it takes
-    # the dense phase sum, not the per-axis product
-    for A in (np.diag([0.5, 2.0]), np.array([[0.5, 1e-15], [0.0, 2.0]])):
-        fast = pullback(A, f, "resampled")
-        dense = (np.exp(1j * ((pts @ A.T) @ pts.T)) @ fk.ravel()).reshape(N, N)
-        assert np.abs(fast.values - dense).max() < 1e-9
+    for A in (np.diag([1.0, 1e-12]), np.diag([1.0, np.inf])):
+        with pytest.raises(ValueError, match="singular"):
+            pullback(A, f)
 
 
 def test_translate_lattice_matches_band_limited_route():

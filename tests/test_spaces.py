@@ -578,6 +578,14 @@ def test_trig_resample_identity_and_diagonal_vs_dense():
     assert np.abs(fast - dense).max() < 1e-3
 
 
+@pytest.mark.parametrize("A", [np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]],
+                               np.full((2, 2), np.nan)], ids=["zero", "rank-one", "nan"])
+def test_trig_resample_rejects_a_singular_or_non_finite_map(A):
+    u = np.outer(gauss1d(8), gauss1d(8))
+    with pytest.raises(ValueError, match="singular"):
+        trig_resample(u, A)
+
+
 def test_chirp_is_invertible_and_support_preserving():
     N = 32
     uhat = np.zeros((N, N), complex)
