@@ -26,8 +26,7 @@ from .weylrep import _analyze, _synthesize
 def quantize_T(ctx, a):
     """Twisted quantization Op_T(a) as a dense M x M matrix."""
     ca = symplectic_fourier(a).values.ravel()
-    pts = ctx.phase_grid.points()
-    g = ca * ctx.lam_values(pts) * ctx.phase_grid.weight
+    g = ca * ctx.lam * ctx.phase_grid.weight
     return _synthesize(ctx, g)
 
 
@@ -53,17 +52,12 @@ def lambda_transform(ctx, a):
     would fold in spurious periodic copies of the symbol; for S = I it is the
     identity gather.
     """
-    pts = ctx.phase_grid.points()
-    lam = ctx.lam_values(pts).reshape(a.values.shape)
-    return pullback(ctx.S, apply_multiplier(lam, a), truncate=True)
+    return pullback(ctx.S, apply_multiplier(ctx.lam, a), truncate=True)
 
 
 def inverse_lambda_transform(ctx, b):
     """Inverse of the symbol transform: divide out lam after composing with S^{-1}."""
-    pts = ctx.phase_grid.points()
-    bs = pullback(ctx.Sinv, b)
-    lam_conj = np.conj(ctx.lam_values(pts)).reshape(b.values.shape)
-    return apply_multiplier(lam_conj, bs)
+    return apply_multiplier(np.conj(ctx.lam), pullback(ctx.Sinv, b))
 
 
 def quantize_theta_tau_kernel(grid, theta, tau, a):
@@ -114,12 +108,11 @@ def recover_symbol(ctx, A):
     if s is None or s < 1:
         raise ValueError("modulation scale must be a positive integer")
     grid = ctx.phase_grid
-    N, pts = grid.N, grid.points()
+    N = grid.N
     g = _analyze(grid, phi, A).reshape(N, N) / N
     if s > 1:
         g[:, np.abs(np.arange(N) - N // 2) >= N // (2 * s)] = 0.0
-    lam = ctx.lam_values(pts).reshape(N, N)
-    return symplectic_fourier(GridFunction(grid, g / (lam * grid.weight)))
+    return symplectic_fourier(GridFunction(grid, g / (ctx.lam.reshape(N, N) * grid.weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from .symplin import _singular
 
 
 def _values(u):
-    if isinstance(u, GridFunction):
-        return u.values
-    return np.asarray(u, dtype=complex)
+    vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=complex)
+    if vals.ndim == 0 or vals.size == 0:
+        raise ValueError(f"expected samples on a lattice, got shape {vals.shape}")
+    return vals
 
 
 def _spacing(vals):
@@ -125,13 +126,17 @@ class WeightSpec:
         if not aniso or any(nj < 1 for nj, _ in aniso):
             raise ValueError("anisotropy must list (dimension, exponent) pairs")
         self.anisotropy = aniso
-        self.C = float(np.prod([2.0 ** (abs(tj) / 2) for _, tj in aniso]))
         self.Nexp = float(sum(abs(tj) for _, tj in aniso))
         rng = np.random.default_rng(190847)
         xi = rng.uniform(-10, 10, size=(10000, self.dim))
         eta = rng.uniform(-10, 10, size=(10000, self.dim))
-        lhs = self.values(xi + eta)
-        rhs = self.C * (1 + (xi ** 2).sum(1)) ** (self.Nexp / 2) * self.values(eta)
+        with np.errstate(all="ignore"):  # a weight that overflows is rejected below
+            self.C = float(np.prod([np.float64(2.0) ** (abs(tj) / 2) for _, tj in aniso]))
+            lhs = self.values(xi + eta)
+            rhs = self.C * (1 + (xi ** 2).sum(1)) ** (self.Nexp / 2) * self.values(eta)
+        if not (np.isfinite(self.C) and np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise ValueError(f"weight anisotropy {aniso} is not representable: an exponent, "
+                             f"C or a spot-check value is not finite")
         if not np.all(lhs <= rhs * (1 + 1e-12)):
             raise ValueError("translation-control constants fail on samples")
 

@@ -68,10 +68,13 @@ class RepContext(MultiplierContext):
         """phi S^{-1}: U(xi) = W_std(A xi)."""
         return self.phi @ self.Sinv
 
-    def lam_values(self, pts):
-        """lambda(xi) = e^{-(i/2) sigma(xi, T xi)}, the conjugate of the
-        coboundary mu, on an array of points."""
-        return np.conj(coboundary(self, pts))
+    @functools.cached_property
+    def lam(self):
+        """lambda(xi) = e^{-(i/2) sigma(xi, T xi)} = conj(mu(xi)) at every
+        phase-grid point, flat and read-only: 16 N^{2n} bytes, on first use."""
+        lam = np.conj(coboundary(self, self.phase_grid.points()))
+        lam.flags.writeable = False
+        return lam
 
 
 def build_rep_context(space, T, grid):
@@ -112,7 +115,7 @@ def weyl_tilde(ctx, xi):
 
 def weyl_W(ctx, xi):
     """W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi): the omega-representation."""
-    return ctx.lam_values(np.asarray(xi, dtype=float)) * weyl_tilde(ctx, xi)
+    return np.conj(coboundary(ctx, xi)) * weyl_tilde(ctx, xi)
 
 
 def u_conjugator(ctx, xi):
@@ -283,4 +286,4 @@ def matrix_coefficient(ctx, phi_v, psi_v):
     phi_v psi_v^*)) over the whole phase grid; no unitary is materialized."""
     grid = ctx.phase_grid
     vals = _analyze(grid, ctx.phi, np.outer(phi_v, np.conj(psi_v)))
-    return GridFunction(grid, ctx.lam_values(grid.points()) * np.conj(vals))
+    return GridFunction(grid, ctx.lam * np.conj(vals))

@@ -7,8 +7,11 @@ from symplecta.calculus import (_synthesize, inverse_lambda_transform,
                                 lambda_transform, quantize_T,
                                 quantize_theta_tau_kernel, quantize_weyl,
                                 read_operator, recover_symbol, write_operator)
+from symplecta import weylrep
+from symplecta.cocycle import coboundary
 from symplecta.grid import (GridFunction, make_grid, read_grid_function,
                             symplectic_fourier, write_grid_function)
+from symplecta.weylrep import matrix_coefficient
 
 rng = np.random.default_rng(53)
 
@@ -133,6 +136,32 @@ def test_symbol_recovery_rejects_contexts_it_cannot_invert(T, n, message):
     ctx = make_ctx(T, N=8, n=n)
     with pytest.raises(ValueError, match=message):
         recover_symbol(ctx, np.eye(ctx.phase_grid.M))
+
+
+@pytest.mark.parametrize("T, n, N", [(SUITE_T["general"], 1, 16), (MIXED_T2, 2, 4)],
+                         ids=["general-n1", "mixed-n2"])
+def test_lambda_is_evaluated_once_per_context(monkeypatch, T, n, N):
+    calls = []
+
+    def counted(ctx, xi):
+        calls.append(np.shape(xi))
+        return coboundary(ctx, xi)
+
+    monkeypatch.setattr(weylrep, "coboundary", counted)
+    ctx = make_ctx(T, N=N, n=n)
+    assert not calls  # not at setup
+    grid, M = ctx.phase_grid, ctx.phase_grid.M
+    a = gaussian(grid, 1.0, center=(0.2,) * grid.dim)
+    v = np.exp(-np.arange(M) / M) + 0j
+    A = quantize_T(ctx, a)
+    quantize_T(ctx, a)
+    inverse_lambda_transform(ctx, lambda_transform(ctx, a))
+    matrix_coefficient(ctx, v, v[::-1])
+    if n == 1:
+        recover_symbol(ctx, A)
+    assert calls == [(M ** 2, grid.dim)]
+    assert not ctx.lam.flags.writeable
+    assert np.array_equal(ctx.lam, np.conj(coboundary(ctx, grid.points())))
 
 
 def test_quantization_is_linear():

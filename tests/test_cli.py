@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,26 @@ def test_degenerate_multiplier_exits_one_with_witness(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "verification failure" in err and "witness" in err
+
+
+@pytest.mark.parametrize("cfg, code, message", [
+    (None, 0, None),
+    ({"T": [[0.5, 0.0], [0.0, -0.5]]}, 1, "kernel witness"),
+    ({"bogus": 1}, 2, "unknown config key(s) ['bogus']")],
+    ids=["pass", "degenerate-T", "unknown-key"])
+def test_the_process_exits_with_the_documented_code(tmp_path, cfg, code, message):
+    argv = ["verify", "--suite", "verify-core", "--out", str(tmp_path)]
+    if cfg is not None:
+        argv += ["--config", write_cfg(tmp_path, **cfg)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "symplecta.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert message in proc.stderr
 
 
 @pytest.mark.parametrize("T", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [0.0, 0.0]]],

@@ -7,7 +7,7 @@ approximations that need a smooth symbol.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import MIXED_T2, kernel_route_loop, make_ctx
@@ -16,7 +16,7 @@ from symplecta.cocycle import (MultiplierContext, coboundary, coboundary_residua
                                cocycle_residual, omega, omega_tilde)
 from symplecta.grid import GridFunction, _centred_diagonals, make_grid, symplectic_fourier
 from symplecta.katoschatten import _ambiguity_average
-from symplecta.symplin import SymplecticSpace
+from symplecta.symplin import SymplecticSpace, sigma_eval
 from symplecta.weylrep import _accumulate, _analyze, _synthesize
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -151,8 +151,22 @@ def multiplier_maps(draw):
     return n, draw(arrays(float, (2 * n, 2 * n), elements=st.floats(-2.0, 2.0)))
 
 
+def largest_phase(ctx, samples):
+    """max |sigma(a, X b)| over the sample vectors a, b and X in {T, S}: both
+    residuals are the rounding of phases of this size."""
+    v = samples.reshape(-1, samples.shape[-1])
+    return max(np.abs(sigma_eval(ctx.space, v[:, None], v[None] @ X.T)).max()
+               for X in (ctx.T, ctx.S))
+
+
 @PROPERTY
 @given(nT=multiplier_maps(), scale=st.floats(0.0, 5.0), seed=seeds)
+@example(nT=(2, np.array([
+    [1.6072061032366416, -1.4117422914556967, -0.15203193479214994, -1.2081347732078407],
+    [-0.8165815240870056, -0.5251579232086034, 0.5227087554496919, -1.6172757657701533],
+    [1.7114457432620043, 1.105068151421765, -1.8244518606945217, -1.936597169398047],
+    [0.6726536373767908, 0.3302003114010139, -0.03965882130414311, 0.6006380157002873]])),
+    scale=5.0, seed=3664490901)
 def test_array_residuals_match_a_one_sample_oracle(nT, scale, seed):
     n, T = nT
     ctx = MultiplierContext(SymplecticSpace(n), T)
@@ -161,7 +175,7 @@ def test_array_residuals_match_a_one_sample_oracle(nT, scale, seed):
                                 (coboundary_residual, coboundary_oracle, 2)):
         samples = rng.standard_normal((20, k, 2 * n)) * scale
         got, want = residual(ctx, samples), oracle(ctx, samples)
-        assert abs(got - want) <= 1e-13
+        assert abs(got - want) <= 4 * np.finfo(float).eps * max(1.0, largest_phase(ctx, samples))
         assert max(got, want) <= 1e-12
         # the same samples as a list of tuples and as a generator
         assert residual(ctx, [tuple(s) for s in samples]) == got

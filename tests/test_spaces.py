@@ -1,4 +1,5 @@
 import functools
+import re
 import threading
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_anisotropic_weight_blocks():
     p = np.array([1.0, 2.0, 3.0])
     want = (1 + 5.0) ** 0.5 * (1 + 9.0) ** (-0.25)
     assert abs(k.values(p) - want) < 1e-12
+
+
+@pytest.mark.parametrize("t", [3000.0, -3000.0, 1000.0, np.inf, np.nan])
+def test_weight_spec_rejects_exponents_it_cannot_represent(t):
+    with pytest.raises(ValueError, match=re.escape(f"weight anisotropy {((1, t),)}")):
+        WeightSpec(((1, t),))
+
+
+def test_weight_spec_keeps_the_constants_of_representable_exponents():
+    assert WeightSpec(((1, 2.0),)).C == 2.0
+    assert WeightSpec(((2, 1.0), (1, -0.5))).C == 2.0 ** 0.5 * 2.0 ** 0.25
+    assert WeightSpec(((1, 100.0),)).C == 2.0 ** 50
 
 
 def test_stft_matches_dense_oracle():
@@ -471,6 +484,18 @@ def test_sobolev_norm_rejects_a_weight_of_another_dimension():
     u = np.outer(gauss1d(16), gauss1d(16))
     with pytest.raises(ValueError, match="weight dimension mismatch"):
         sobolev_k_norm(u, WeightSpec(((1, 2.0),)), 2)
+
+
+@pytest.mark.parametrize("u", [np.complex128(1), np.zeros(0)], ids=["0-d", "empty"])
+@pytest.mark.parametrize("call", [
+    lambda u: modulation_norms(u, WindowSpec(), [(2, 2)]),
+    lambda u: sobolev_k_norm(u, WeightSpec(((1, 2.0),)), 2),
+    lambda u: dilation_ratio(u, 2.0, 2, 2),
+    lambda u: chirp_TA(np.eye(1), u)],
+    ids=["modulation_norms", "sobolev_k_norm", "dilation_ratio", "chirp_TA"])
+def test_a_0d_or_empty_input_is_rejected(call, u):
+    with pytest.raises(ValueError, match=rf"got shape {re.escape(str(u.shape))}"):
+        call(u)
 
 
 def test_m22_proportional_to_l2():
