@@ -76,6 +76,16 @@ def _check_exponent(name, p):
         raise ValueError(f"exponent {name} = {p} is not in (0, inf]")
 
 
+def _lp_rows(vals, p, weight):
+    """Row-wise (weight sum_j |v_ij|^p)^{1/p} of a 2-D array, max_j |v_ij| for
+    p = inf (0 for an empty row): the one L^p reduction.  |v|^p is formed only
+    for p outside {1, inf}."""
+    if p == np.inf:
+        return np.abs(vals).max(axis=1, initial=0.0)
+    s = np.abs(vals).sum(axis=1) if p == 1 else (np.abs(vals) ** p).sum(axis=1)
+    return (s * weight) ** (1.0 / p)
+
+
 def _centred_roll(i, s, N):
     """(i - s + N/2) mod N, broadcast: the index that entry i of a centered
     lattice axis takes after a cyclic shift by s.  Entry i of a window slid to
@@ -229,11 +239,7 @@ class GridFunction:
     def norm_lp(self, p):
         """Weighted L^p norm with the phase-space weight N^{-n}; p in (0, inf]."""
         _check_exponent("p", p)
-        w = self.grid.weight
-        a = np.abs(self.values)
-        if p == np.inf:
-            return float(a.max())
-        return float((np.sum(a**p) * w) ** (1.0 / p))
+        return float(_lp_rows(self.values.reshape(1, -1), p, self.grid.weight)[0])
 
 
 @dataclass(frozen=True)

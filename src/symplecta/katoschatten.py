@@ -58,8 +58,8 @@ import numpy as np
 from .calculus import quantize_T
 from .cocycle import _stack_samples
 from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
-                   _centred_roll, _gaussian, _is_diagonal, _lattice_index, _product_points,
-                   apply_multiplier, sigma_convolve, symplectic_fourier)
+                   _centred_roll, _gaussian, _is_diagonal, _lattice_index, _lp_rows,
+                   _product_points, apply_multiplier, sigma_convolve, symplectic_fourier)
 from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
 from .weylrep import _accumulate, matrix_coefficient, u_conjugator_batch
 
@@ -75,9 +75,7 @@ class SchattenReport:
 
 def _schatten(s, p):
     """(sum s_i^p)^{1/p} of the singular values s, s_1 for p = inf."""
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    return float((s ** p).sum() ** (1.0 / p))
+    return float(_lp_rows(s[None], p, 1.0)[0])
 
 
 def schatten_norm(A, p):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (GridFunction, _axis, _centred_roll, _check_exponent, _gauss_hermite,
-                   _is_diagonal, _lattice_points, _lattice_spacing, _ord_ft, _ord_ift,
-                   _resample, _spec_params)
+                   _is_diagonal, _lattice_points, _lattice_spacing, _lp_rows, _ord_ft,
+                   _ord_ift, _resample, _spec_params)
 from .symplin import _singular
 
 
@@ -44,21 +44,6 @@ def _spacing(vals):
     if any(s != N for s in vals.shape):
         raise ValueError("expected a cubical lattice")
     return _lattice_spacing(N)
-
-
-def _lp_rows(vals, p, weight):
-    """Row-wise (weight sum_j |v_ij|^p)^{1/p} of a 2-D array, max_j |v_ij| for
-    p = inf.  |v|^p is formed only for p outside {1, 2, inf}."""
-    if p == np.inf:
-        return np.abs(vals).max(axis=1)
-    if p == 1:
-        s = np.abs(vals).sum(axis=1)
-    elif p == 2:
-        f = np.ascontiguousarray(vals).view(np.float64)  # (re, im) pairs
-        s = np.einsum("ij,ij->i", f, f)
-    else:
-        s = (np.abs(vals) ** p).sum(axis=1)
-    return (s * weight) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

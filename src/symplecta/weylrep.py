@@ -12,11 +12,14 @@ symplectomorphism phi normalizing the form built from S = T + T^sigma, and
 W(xi) = e^{-(i/2) sigma(xi, T xi)} W_tilde(xi).  The conjugators are
 U(xi) = W_tilde(S^{-1} xi).
 
-One chunked kernel serves every sum over W_std(A xi): _shift_chunks groups
-the grid points by shift and modulation and cuts the groups into chunks;
-_synthesize sums g(xi) W_std(phi xi) over them, _analyze, its exact adjoint,
-takes tr(W_std(A xi)^* B) at each of them, and _accumulate sums
-b(xi) U(xi) G U(xi)^* over those of A = phi S^{-1}.
+One chunked kernel, the shift plan, serves the sums over W_std(A xi) of
+this module: _shift_chunks groups the grid points by shift and modulation
+and cuts the groups into chunks; _synthesize sums g(xi) W_std(phi xi) over
+them, _analyze, its exact adjoint, takes tr(W_std(A xi)^* B) at each of
+them, and _accumulate sums b(xi) U(xi) G U(xi)^* over those of
+A = phi S^{-1}.  kato_synthesis calls _accumulate for a coupled A only; for
+a diagonal A it takes that sum in the ambiguity domain instead
+(katoschatten._ambiguity_average).
 
 The chunks depend on the grid and A only, so they are built once per (grid,
 bytes of A, _CHUNK_ELEMS), on first use, and kept read-only in the module's

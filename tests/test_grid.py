@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import gaussian
-from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, _spec_params, _write_rows,
-                            apply_multiplier, make_grid, pullback, read_grid_function, sample_symbol,
-                            sigma_convolve, symplectic_fourier, translate,
-                            write_grid_function)
+from symplecta.grid import (GridFunction, PhaseGrid, SymbolSpec, _lp_rows, _spec_params,
+                            _write_rows, apply_multiplier, make_grid, pullback,
+                            read_grid_function, sample_symbol, sigma_convolve,
+                            symplectic_fourier, translate, write_grid_function)
+from symplecta.katoschatten import schatten_norm
 
 rng = np.random.default_rng(37)
 
@@ -59,6 +60,21 @@ def test_norm_matches_gaussian_integral():
     assert abs(gaussian(g, 1.0).norm_lp(1) - 1.0) < 1e-10
     ones = GridFunction(g, np.ones(64 * 64))
     assert ones.norm_lp(np.inf) == 1.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1, 2, 3, np.inf])
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_norms_take_the_bits_of_the_one_lp_reduction(N, p):
+    """norm_lp and the Schatten norms are grid._lp_rows, bit for bit; a 0 x 0
+    operator has Schatten norm 0 for every p."""
+    g = make_grid(1, N)
+    r = np.random.default_rng(N)
+    f = GridFunction(g, r.standard_normal(N * N) + 1j * r.standard_normal(N * N))
+    assert f.norm_lp(p) == _lp_rows(f.values.reshape(1, -1), p, g.weight)[0]
+    if p in (1, 2, np.inf):
+        s = np.linalg.svd(f.values, compute_uv=False)
+        assert schatten_norm(f.values, p).norm == _lp_rows(s[None], p, 1.0)[0]
+        assert schatten_norm(np.zeros((0, 0)), p).norm == 0.0
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])
