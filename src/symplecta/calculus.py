@@ -18,13 +18,15 @@ inverts the quantization exactly.
 
 import numpy as np
 
-from .grid import (GridFunction, _centred_diagonals, _is_diagonal, _lattice_index, _ord_ft,
-                   _read_rows, _write_rows, apply_multiplier, pullback, symplectic_fourier)
+from .grid import (GridFunction, _centred_diagonals, _check_grid, _is_diagonal, _lattice_index,
+                   _ord_ft, _read_rows, _write_rows, apply_multiplier, pullback,
+                   symplectic_fourier)
 from .weylrep import _analyze, _synthesize
 
 
 def quantize_T(ctx, a):
     """Twisted quantization Op_T(a) as a dense M x M matrix."""
+    _check_grid(a, ctx.phase_grid)
     ca = symplectic_fourier(a).values.ravel()
     g = ca * ctx.lam * ctx.phase_grid.weight
     return _synthesize(ctx, g)
@@ -38,6 +40,7 @@ def quantize_weyl(ctx, b):
     periodic trigonometric extension of b otherwise) and rescaling; the
     scaling factor cancels against the S-scaled measure weight.
     """
+    _check_grid(b, ctx.phase_grid)
     bs = pullback(ctx.Sinv, b)
     cb = symplectic_fourier(bs).values.ravel()
     return _synthesize(ctx, cb * ctx.phase_grid.weight)
@@ -52,11 +55,13 @@ def lambda_transform(ctx, a):
     would fold in spurious periodic copies of the symbol; for S = I it is the
     identity gather.
     """
+    _check_grid(a, ctx.phase_grid)
     return pullback(ctx.S, apply_multiplier(ctx.lam, a), truncate=True)
 
 
 def inverse_lambda_transform(ctx, b):
     """Inverse of the symbol transform: divide out lam after composing with S^{-1}."""
+    _check_grid(b, ctx.phase_grid)
     return apply_multiplier(np.conj(ctx.lam), pullback(ctx.Sinv, b))
 
 

@@ -171,6 +171,9 @@ class PhaseGrid:
     N: int
 
     def __post_init__(self):
+        for name, v in (("n", self.n), ("N", self.N)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if self.N % 2 != 0 or not (4 <= self.N <= 256):
@@ -242,6 +245,12 @@ class GridFunction:
         return float(_lp_rows(self.values.reshape(1, -1), p, self.grid.weight)[0])
 
 
+def _check_grid(f, grid, name="symbol"):
+    """Raise a ValueError naming both grids unless the grid function f is on grid."""
+    if f.grid != grid:
+        raise ValueError(f"{name} lies on {f.grid}, not on {grid}")
+
+
 @dataclass(frozen=True)
 class SymbolSpec:
     """Parametric test-symbol family member."""
@@ -264,9 +273,7 @@ def sample_symbol(spec, grid):
     """Pointwise evaluation of a SymbolSpec on the grid."""
     if spec.kind == "file":
         f = read_grid_function(spec.path)
-        if f.grid != grid:
-            raise ValueError(f"symbol file {spec.path} holds a grid with n={f.grid.n}, "
-                             f"N={f.grid.N}, not n={grid.n}, N={grid.N}")
+        _check_grid(f, grid, f"symbol file {spec.path}")
         return f
     if spec.kind not in ("gaussian", "hermite-gaussian", "polynomial-times-gaussian",
                          "chirp-gaussian"):
@@ -399,8 +406,7 @@ def translate(xi, f):
 
 def sigma_convolve(b, c):
     """Phase-space convolution (b * c)(xi) = sum_eta b(xi-eta) c(eta) w, periodic."""
-    if b.grid != c.grid:
-        raise ValueError("grid mismatch")
+    _check_grid(c, b.grid)
     conv = _ord_ift(_ord_ft(b.values) * _ord_ft(c.values))
     return GridFunction(b.grid, conv * b.grid.weight)
 
@@ -427,7 +433,7 @@ class _PlanCache:
     least recently used evicted first.  A plan is a nested tuple of read-only
     arrays (and plain values) that holds tables only, never a result."""
 
-    def __init__(self, entries, nbytes):
+    def __init__(self, entries=_PLAN_ENTRIES, nbytes=_PLAN_BYTES):
         self.entries, self.nbytes = entries, nbytes
         self._plans = OrderedDict()  # key -> (plan, bytes)
         self._lock = threading.Lock()
@@ -438,31 +444,24 @@ class _PlanCache:
     def total_bytes(self):
         return sum(size for _, size in self._plans.values())
 
-    def get(self, key):
+    def fetch(self, key, build):
+        """The plan under key.  On a miss build() gives its exact array bytes and
+        parts, kept as a read-only tuple iff the bytes fit, else returned unkept."""
         with self._lock:
             hit = self._plans.get(key)
-            if hit is None:
-                return None
-            self._plans.move_to_end(key)
-            return hit[0]
-
-    def put(self, key, plan):
-        """Keep plan under key, made read-only, unless it exceeds nbytes."""
-        size = _freeze(plan)
-        if size > self.nbytes:
-            return
+            if hit is not None:
+                self._plans.move_to_end(key)
+                return hit[0]
+        nbytes, plan = build()
+        if nbytes > self.nbytes:
+            return plan
+        plan = tuple(plan)
+        _freeze(plan)
         with self._lock:
-            self._plans[key] = (plan, size)
+            self._plans[key] = (plan, nbytes)
             self._plans.move_to_end(key)
             while len(self._plans) > self.entries or self.total_bytes() > self.nbytes:
                 self._plans.popitem(last=False)
-
-    def fetch(self, key, build):
-        """The plan under key, built by build() and kept on a miss."""
-        plan = self.get(key)
-        if plan is None:
-            plan = build()
-            self.put(key, plan)
         return plan
 
     def clear(self):

@@ -57,9 +57,9 @@ import numpy as np
 
 from .calculus import quantize_T
 from .cocycle import _stack_samples
-from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
-                   _centred_roll, _gaussian, _is_diagonal, _lattice_index, _lp_rows,
-                   _product_points, apply_multiplier, sigma_convolve, symplectic_fourier)
+from .grid import (GridFunction, PhaseGrid, _PlanCache, _centred_roll, _check_grid, _freeze,
+                   _gaussian, _is_diagonal, _lattice_index, _lp_rows, _product_points,
+                   apply_multiplier, sigma_convolve, symplectic_fourier)
 from .spaces import WeightSpec, WindowSpec, modulation_norms, sobolev_k_norm
 from .weylrep import _accumulate, matrix_coefficient, u_conjugator_batch
 
@@ -122,14 +122,14 @@ def _contract(arr, mats, axes):
 _CHUNK_ELEMS = 1 << 20
 
 
-_AMBIGUITY_PLANS = _PlanCache(_PLAN_ENTRIES, _PLAN_BYTES)
+_AMBIGUITY_PLANS = _PlanCache()
 
 
 def _ambiguity_plan(grid, a, axes):
     """The tables of _ambiguity_average for U(xi) = W_std(diag(a) xi) and a
     density on the product of the axes: F, the exponentials Ex, Ey and Ep, the
     column indices, per chunk of the leading m axis its slice, row indices and
-    mask, and the output index."""
+    mask, and the output index; with their array bytes, as (nbytes, plan)."""
     n, N, h = grid.n, grid.N, grid.h
     L = 2 * N - 1
     m = np.arange(1 - N, N)
@@ -153,7 +153,8 @@ def _ambiguity_plan(grid, a, axes):
         gathers.append((sl, tuple(rows) + cols, inside))
     ia = np.indices((N,) * n).reshape(n, -1)
     idx = np.ravel_multi_index(tuple(ia[:, :, None] - ia[:, None, :] + N - 1), (L,) * n)
-    return grid.dft(), Ex, Ey, Ep, tuple(gathers), idx
+    plan = grid.dft(), Ex, Ey, Ep, tuple(gathers), idx
+    return _freeze(plan), plan
 
 
 def _ambiguity_average(grid, a, axes, bv, G):
@@ -190,8 +191,7 @@ def kato_synthesis(ctx, b, G):
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
     if isinstance(b, GridFunction):
-        if b.grid != grid:
-            raise ValueError("density grid does not match the context grid")
+        _check_grid(b, grid, "density")
         axes, bv = [grid.axis] * grid.dim, b.values
     elif callable(b):
         L = grid.box_length

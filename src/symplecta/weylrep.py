@@ -22,10 +22,10 @@ a diagonal A it takes that sum in the ambiguity domain instead
 (katoschatten._ambiguity_average).
 
 The chunks depend on the grid and A only, so they are built once per (grid,
-bytes of A, _CHUNK_ELEMS), on first use, and kept read-only in the module's
-shift-plan cache: at most 8 plans of 32 MiB in all, the least recently used
-evicted first.  Every chunk is laid out before any is built, so a plan's size
-is exact before it is built; a plan over 32 MiB is streamed and holds no chunk.
+bytes of A, _CHUNK_ELEMS), on first use, in the module's shift-plan cache:
+at most 8 plans of 32 MiB in all, the least recently used evicted first.
+Every chunk is laid out before any is built, so a plan's bytes are exact
+before it is built; fetch keeps it read-only iff they fit, else streams it.
 A diagonal map's plan is 0.16 MiB at N = 48 and 4.5 MiB at N = 256 (n = 1) or
 N = 16 (n = 2); the coupled n = 2 map of the tests at N = 12 has a streamed
 45.3 MiB plan of phi and a kept 20.6 MiB plan of A, the one that
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import MultiplierContext, coboundary
-from .grid import (_PLAN_BYTES, _PLAN_ENTRIES, GridFunction, PhaseGrid, _PlanCache,
-                   _centred_diagonals, _ord_ft, _ord_ift)
+from .grid import GridFunction, PhaseGrid, _PlanCache, _centred_diagonals, _ord_ft, _ord_ift
 from .symplin import factor_sigma_symmetric, nondegeneracy_gate
 
 
@@ -197,22 +196,16 @@ def _shift_chunks(grid, A):
     return nbytes, chunks()
 
 
-_SHIFT_PLANS = _PlanCache(_PLAN_ENTRIES, _PLAN_BYTES)
+_SHIFT_PLANS = _PlanCache()
 
 
 def _grid_chunks(grid, A):
-    """The chunks of _shift_chunks over the whole phase grid: the cached plan,
-    or the plan built and kept when its exact size fits the cache, or else the
-    chunks streamed one at a time, none of them held."""
+    """The chunks of _shift_chunks over the whole phase grid: the plan that
+    the shift-plan cache keeps iff its exact bytes fit, or else the chunks
+    streamed one at a time, none of them held."""
     A = np.asarray(A, dtype=float)
-    key = (grid, A.tobytes(), _CHUNK_ELEMS)
-    plan = _SHIFT_PLANS.get(key)
-    if plan is None:
-        nbytes, plan = _shift_chunks(grid, A)
-        if nbytes <= _SHIFT_PLANS.nbytes:
-            plan = tuple(plan)
-            _SHIFT_PLANS.put(key, plan)
-    return plan
+    return _SHIFT_PLANS.fetch((grid, A.tobytes(), _CHUNK_ELEMS),
+                              lambda: _shift_chunks(grid, A))
 
 
 def _synthesize(ctx, g_flat):
@@ -239,6 +232,8 @@ def _analyze(grid, A, B):
     (E^* D C^*)[p, y] e^{i<y, p>/2}, so vdot(sum_xi g W_std(A xi), B) equals
     vdot(g, _analyze(grid, A, B)) for every n and A.
     """
+    if np.shape(B) != (grid.M, grid.M):
+        raise ValueError(f"operator must be {grid.M} x {grid.M}, got shape {np.shape(B)}")
     D = _centred_diagonals(np.asarray(B, dtype=complex), grid.n, grid.N)
     out = np.empty(grid.N ** grid.dim, complex)
     for sel, ip, iy, phase, E, C in _grid_chunks(grid, A):

@@ -9,8 +9,9 @@ from symplecta.calculus import (_synthesize, inverse_lambda_transform,
                                 read_operator, recover_symbol, write_operator)
 from symplecta import weylrep
 from symplecta.cocycle import coboundary
-from symplecta.grid import (GridFunction, make_grid, read_grid_function,
+from symplecta.grid import (GridFunction, make_grid, read_grid_function, sigma_convolve,
                             symplectic_fourier, write_grid_function)
+from symplecta.katoschatten import kato_synthesis
 from symplecta.weylrep import matrix_coefficient
 
 rng = np.random.default_rng(53)
@@ -162,6 +163,21 @@ def test_lambda_is_evaluated_once_per_context(monkeypatch, T, n, N):
     assert calls == [(M ** 2, grid.dim)]
     assert not ctx.lam.flags.writeable
     assert np.array_equal(ctx.lam, np.conj(coboundary(ctx, grid.points())))
+
+
+@pytest.mark.parametrize("call", [
+    quantize_T, quantize_weyl, lambda_transform, inverse_lambda_transform,
+    lambda ctx, a: sigma_convolve(gaussian(ctx.phase_grid), a),
+    lambda ctx, a: kato_synthesis(ctx, a, np.eye(ctx.phase_grid.M))],
+    ids=["quantize_T", "quantize_weyl", "lambda_transform", "inverse_lambda_transform",
+         "sigma_convolve", "kato_synthesis"])
+def test_a_symbol_on_another_grid_of_as_many_points_is_refused(call):
+    # PhaseGrid(1, 16) and PhaseGrid(2, 4) both have 256 points
+    ctx = make_ctx(0.5 * np.eye(4), N=4, n=2)
+    other = gaussian(make_grid(1, 16))
+    with pytest.raises(ValueError, match=r"on PhaseGrid\(n=1, N=16\), "
+                                         r"not on PhaseGrid\(n=2, N=4\)"):
+        call(ctx, other)
 
 
 def test_quantization_is_linear():

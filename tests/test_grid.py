@@ -39,6 +39,18 @@ def test_grid_limits_name_the_value_given():
         make_grid(1, 31)
 
 
+@pytest.mark.parametrize("n, N, name", [(1, 32.0, "N"), (1, np.float64(32), "N"),
+                                         (True, 32, "n"), (1.0, 32, "n"), (1, "32", "N")])
+def test_grid_rejects_a_non_integer_n_or_N(n, N, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        PhaseGrid(n, N)
+
+
+def test_grid_takes_numpy_integers():
+    g = PhaseGrid(np.int64(1), np.int32(16))
+    assert g == PhaseGrid(1, 16) and g.points().shape == (256, 2)
+
+
 @pytest.mark.parametrize("p", [0, -1, np.nan])
 def test_norm_lp_rejects_exponents_outside_zero_inf(p):
     f = gaussian(make_grid(1, 16), 1.0, [0.3, -0.2])

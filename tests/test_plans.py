@@ -116,18 +116,19 @@ def test_coupled_synthesis_shares_the_plan_of_the_orthogonality_integral(monkeyp
     assert len(groupings) == 2
 
 
+def _arrays(plan):
+    """Every array of a nested tuple."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for p in plan:
+            yield from _arrays(p)
+
+
 def test_cached_plan_arrays_are_read_only():
     _run_kernels(make_ctx(SUITE_T["unit"], N=16))
-
-    def arrays(plan):
-        if isinstance(plan, np.ndarray):
-            yield plan
-        elif isinstance(plan, tuple):
-            for p in plan:
-                yield from arrays(p)
-
     for cache in _caches():
-        found = [a for plan, _ in cache._plans.values() for a in arrays(plan)]
+        found = [a for plan, _ in cache._plans.values() for a in _arrays(plan)]
         assert found and not any(a.flags.writeable for a in found)
         with pytest.raises(ValueError, match="read-only"):
             found[0][...] = 0
@@ -144,27 +145,32 @@ def test_plan_caches_keep_their_bounds():
 
 
 def test_plan_cache_evicts_the_least_recently_used_and_skips_large_plans():
-    def plan(k):  # 8 k bytes
-        return (np.zeros(k), slice(0, k))
+    def plan(k):  # the builder of a plan of 8 k bytes
+        parts = (np.zeros(k), slice(0, k))
+        return lambda: (8 * k, parts)
+
+    def kept():
+        raise AssertionError("a kept plan was built again")
 
     by_count = _PlanCache(2, 1000)
-    a = plan(10)
-    by_count.put("a", a)
-    by_count.put("b", plan(10))
-    assert by_count.get("a") is a  # b is now the least recently used
-    by_count.put("c", plan(10))
+    a = by_count.fetch("a", plan(10))
+    by_count.fetch("b", plan(10))
+    assert by_count.fetch("a", kept) is a  # b is now the least recently used
+    by_count.fetch("c", plan(10))
     assert list(by_count._plans) == ["a", "c"]
-    by_count.put("d", plan(126))  # 1008 bytes: not kept
+    large = by_count.fetch("d", plan(126))  # 1008 bytes: returned, not kept
+    assert large[0].size == 126 and large[0].flags.writeable
     assert list(by_count._plans) == ["a", "c"]
-    assert by_count.fetch("e", lambda: a) is a
+    assert by_count.fetch("e", lambda: (80, a)) is a
     assert list(by_count._plans) == ["c", "e"]
+    assert not by_count.fetch("c", kept)[0].flags.writeable
 
     by_bytes = _PlanCache(4, 240)
     for k in "abc":
-        by_bytes.put(k, plan(10))
-    by_bytes.put("d", plan(10))  # 320 bytes in four plans: a goes
+        by_bytes.fetch(k, plan(10))
+    by_bytes.fetch("d", plan(10))  # 320 bytes in four plans: a goes
     assert list(by_bytes._plans) == ["b", "c", "d"] and by_bytes.total_bytes() == 240
-    by_bytes.put("e", plan(30))
+    by_bytes.fetch("e", plan(30))
     assert list(by_bytes._plans) == ["e"]
     by_bytes.clear()
     assert len(by_bytes) == 0
@@ -178,6 +184,22 @@ def test_a_plan_over_the_byte_bound_is_streamed_and_not_kept(monkeypatch):
     monkeypatch.setattr(weylrep, "_SHIFT_PLANS", _PlanCache(_PLAN_ENTRIES, 1024))
     assert np.array_equal(quantize_T(ctx, b), kept)
     assert len(weylrep._SHIFT_PLANS) == 0
+
+    # a diagonal map: kato_synthesis takes the ambiguity plan
+    ctx = make_ctx(SUITE_T["unit"], N=16)
+    M = ctx.phase_grid.M
+    b, G = gaussian(ctx.phase_grid, 1.0), np.eye(M) + np.eye(M, k=1)
+    kept = kato_synthesis(ctx, b, G)
+    assert len(katoschatten._AMBIGUITY_PLANS) == 1
+    small = _PlanCache(_PLAN_ENTRIES, 1024)
+    monkeypatch.setattr(katoschatten, "_AMBIGUITY_PLANS", small)
+    plans, ambiguity_plan = [], katoschatten._ambiguity_plan
+    monkeypatch.setattr(katoschatten, "_ambiguity_plan",
+                        lambda *args: plans.append(ambiguity_plan(*args)) or plans[-1])
+    assert np.array_equal(kato_synthesis(ctx, b, G), kept)
+    (nbytes, plan), = plans
+    assert nbytes > small.nbytes and len(small) == 0
+    assert not any(a.flags.writeable for a in _arrays(plan))
 
 
 def test_rep_context_takes_S_from_the_gate_and_inverts_it_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from conftest import (DENSE_ORACLE_CASES, MIXED_T2, SUITE_T, count_shift_chunks,
                       make_ctx, unit_gaussians_1d)
 from symplecta import weylrep
+from symplecta.calculus import recover_symbol
 from symplecta.cocycle import MultiplierContext, omega, omega_tilde
 from symplecta.grid import PhaseGrid
 from symplecta.symplin import SymplecticSpace
@@ -143,6 +144,17 @@ def test_orthogonality_integral_value(name):
     val = orthogonality_integral(ctx, phi, psi)
     want = np.sqrt(ctx.detS)
     assert abs(val - want) / want < 1e-2
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, v: recover_symbol(ctx, np.eye(len(v))),
+    lambda ctx, v: orthogonality_integral(ctx, v, v),
+    lambda ctx, v: matrix_coefficient(ctx, v, v)],
+    ids=["recover_symbol", "orthogonality_integral", "matrix_coefficient"])
+def test_the_analysis_refuses_an_operator_of_another_shape(call):
+    ctx = make_ctx(SUITE_T["half"], N=16)
+    with pytest.raises(ValueError, match=r"operator must be 16 x 16, got shape \(15, 15\)"):
+        call(ctx, np.ones(15))
 
 
 def test_distinct_rows_match_numpy_unique():
