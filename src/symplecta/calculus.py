@@ -78,6 +78,7 @@ def quantize_theta_tau_kernel(grid, theta, tau, a):
     difference z, K[x1, x2] = Q[x1, z] for z = x1 - x2 centered, where
     Q = e^{i x k^T} (B1k o e^{-i tau k z^T}): the centred diagonals of Q.
     """
+    _check_grid(a, grid)
     if grid.n != 1:
         raise ValueError("the kernel route is implemented for n = 1")
     if not abs(theta + tau - 1.0) <= 1e-12:  # nan fails too

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, _lattice_index, translate
+from .grid import GridFunction, translate
 from .symplin import SymplecticSpace, sigma_eval, symplectic_adjoint
 
 
@@ -81,14 +81,11 @@ def regular_representation(ctx, xi, f):
     """(R(xi) f)(eta) = omega(eta, xi) f(eta + xi) with periodic wraparound:
     omega(., xi) times the translate of f by -xi.
 
-    xi must be a lattice point of f's grid (exact roll); the result is unitary
-    on the grid inner product and satisfies R(xi)R(eta) = omega(xi,eta)R(xi+eta).
+    xi must be a lattice point (grid.translate refuses any other).  R(xi) is unitary
+    on the grid inner product, and R(xi)R(eta) = omega(xi,eta)R(xi+eta).
     """
-    grid = f.grid
     xi = np.asarray(xi, dtype=float)
-    if _lattice_index(xi / grid.h) is None:
-        raise ValueError("off-grid xi; use a lattice point (grid.translate "
-                         "shifts by any xi)")
-    pts = grid.points()
+    shifted = translate(-xi, f)  # refuses an off-lattice xi before omega meets it
+    pts = f.grid.points()
     phase = omega(ctx, pts, np.broadcast_to(xi, pts.shape)).reshape(f.values.shape)
-    return GridFunction(grid, phase * translate(-xi, f).values)
+    return GridFunction(f.grid, phase * shifted.values)

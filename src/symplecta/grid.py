@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplin import SymplecticSpace, _singular, sigma_eval
+from .symplin import _singular
 
 
 def _lattice_spacing(N):
@@ -174,6 +174,7 @@ class PhaseGrid:
         for name, v in (("n", self.n), ("N", self.N)):
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if self.N % 2 != 0 or not (4 <= self.N <= 256):
@@ -343,17 +344,18 @@ def pullback(A, f, *, truncate=False):
 def _resample(vals, A, mask_outside=False):
     """Lattice samples (any dimension d) evaluated at the points A x of the
     same lattice, with periodic wraparound; the one evaluation along a linear
-    map.  ValueError when A is singular or not finite (symplin._singular).  A
-    lattice map (_lattice_index, entries up to 2^31) gathers the samples
-    exactly; any other diagonal map (_is_diagonal) takes the per-axis
-    trigonometric interpolation, O(d N^{d+1}), and any other map the dense
-    trigonometric sum.  With mask_outside, points A x that leave the
+    map.  ValueError unless A is d x d, or when it is singular or not finite
+    (symplin._singular).  A lattice map (_lattice_index, entries up to 2^31)
+    gathers the samples exactly; any other diagonal map (_is_diagonal) takes
+    the per-axis trigonometric interpolation, O(d N^{d+1}), and any other map
+    the dense trigonometric sum.  With mask_outside, points A x that leave the
     fundamental box give 0.
     """
-    A = np.asarray(A, dtype=float)
+    A, N, d = np.asarray(A, dtype=float), vals.shape[0], vals.ndim
+    if A.shape != (d, d):
+        raise ValueError(f"resampling map must be {d} x {d}, got shape {A.shape}")
     if _singular(A):
         raise ValueError("singular resampling map")
-    N, d = vals.shape[0], vals.ndim
     m = np.indices((N,) * d).reshape(d, -1).T - N // 2  # centered indices, (P, d)
     Ai = _lattice_index(A)
     if Ai is not None and np.abs(Ai).max() <= 2**31:  # an integer index map
@@ -385,23 +387,14 @@ def _resample(vals, A, mask_outside=False):
 
 
 def translate(xi, f):
-    """Translate (tau_xi f)(.) = f(. - xi).
-
-    A lattice xi (by _lattice_index) is an exact cyclic index shift; any other
-    xi is the Fourier multiplier e^{-i sigma(., xi)}, a band-limited periodic
-    shift.
-    """
-    grid = f.grid
+    """Translate (tau_xi f)(.) = f(. - xi) by a lattice xi, an exact cyclic shift;
+    ValueError for any other xi (off the lattice, not finite, or not of 2n entries)."""
     xi = np.asarray(xi, dtype=float)
-    idx = _lattice_index(xi / grid.h)
-    if idx is not None:
-        out = np.roll(f.values, shift=tuple(int(k) for k in idx),
-                      axis=tuple(range(grid.dim)))
-        return GridFunction(grid, out)
-    pts = grid.points()
-    lam = np.exp(-1j * sigma_eval(SymplecticSpace(grid.n), pts,
-                                  np.broadcast_to(xi, pts.shape)))
-    return apply_multiplier(lam.reshape(f.values.shape), f)
+    idx = _lattice_index(xi / f.grid.h) if xi.shape == (f.grid.dim,) else None
+    if idx is None:
+        raise ValueError(f"off-grid xi {xi.tolist()} on {f.grid}; use a lattice point")
+    out = np.roll(f.values, shift=tuple(int(k) for k in idx), axis=tuple(range(f.grid.dim)))
+    return GridFunction(f.grid, out)
 
 
 def sigma_convolve(b, c):

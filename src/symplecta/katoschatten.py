@@ -190,6 +190,8 @@ def kato_synthesis(ctx, b, G):
     """
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
+    if G.shape != (grid.M, grid.M):
+        raise ValueError(f"operator must be {grid.M} x {grid.M}, got shape {G.shape}")
     if isinstance(b, GridFunction):
         _check_grid(b, grid, "density")
         axes, bv = [grid.axis] * grid.dim, b.values

@@ -168,9 +168,10 @@ def test_lambda_is_evaluated_once_per_context(monkeypatch, T, n, N):
 @pytest.mark.parametrize("call", [
     quantize_T, quantize_weyl, lambda_transform, inverse_lambda_transform,
     lambda ctx, a: sigma_convolve(gaussian(ctx.phase_grid), a),
-    lambda ctx, a: kato_synthesis(ctx, a, np.eye(ctx.phase_grid.M))],
+    lambda ctx, a: kato_synthesis(ctx, a, np.eye(ctx.phase_grid.M)),
+    lambda ctx, a: quantize_theta_tau_kernel(ctx.phase_grid, 0.5, 0.5, a)],
     ids=["quantize_T", "quantize_weyl", "lambda_transform", "inverse_lambda_transform",
-         "sigma_convolve", "kato_synthesis"])
+         "sigma_convolve", "kato_synthesis", "quantize_theta_tau_kernel"])
 def test_a_symbol_on_another_grid_of_as_many_points_is_refused(call):
     # PhaseGrid(1, 16) and PhaseGrid(2, 4) both have 256 points
     ctx = make_ctx(0.5 * np.eye(4), N=4, n=2)

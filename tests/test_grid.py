@@ -48,7 +48,10 @@ def test_grid_rejects_a_non_integer_n_or_N(n, N, name):
 
 def test_grid_takes_numpy_integers():
     g = PhaseGrid(np.int64(1), np.int32(16))
-    assert g == PhaseGrid(1, 16) and g.points().shape == (256, 2)
+    assert g.points().shape == (256, 2)
+    assert repr(g) == "PhaseGrid(n=1, N=16)" and type(g.n) is int and type(g.N) is int
+    # both plan caches key on the grid
+    assert g == PhaseGrid(1, 16) and hash(g) == hash(PhaseGrid(1, 16))
 
 
 @pytest.mark.parametrize("p", [0, -1, np.nan])
@@ -223,16 +226,20 @@ def test_pullback_singularity_test_is_scale_free():
             pullback(A, f)
 
 
-def test_translate_lattice_matches_band_limited_route():
-    # two off-lattice half steps take the sigma-multiplier; their product is
-    # the multiplier of the lattice step, which the roll takes exactly
+@pytest.mark.filterwarnings("error")
+def test_translate_rolls_a_lattice_xi_and_refuses_any_other():
     for n, N in ((1, 16), (2, 8)):
         g = make_grid(n, N)
         f = gaussian(g, 1.0, tilt=0.3)
-        xi = np.array([3.0, -1.0, 1.0, 5.0][:g.dim]) * g.h
-        rolled = translate(xi, f)
-        halves = translate(xi / 2, translate(xi / 2, f))
-        assert np.abs(rolled.values - halves.values).max() < 1e-12
+        k = [3, -1, 1, 5][:g.dim]
+        assert np.array_equal(translate(np.array(k) * g.h, f).values,
+                              np.roll(f.values, k, axis=tuple(range(g.dim))))
+    g = make_grid(1, 16)
+    f = gaussian(g)
+    # off the lattice, not finite, or of other than 2n entries (no broadcast)
+    for xi in ([0.5 * g.h, 0.0], [0.0, np.nan], [g.h], [g.h, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"^off-grid xi .* on PhaseGrid\(n=1, N=16\)"):
+            translate(xi, f)
 
 
 def test_convolution_identity_element():

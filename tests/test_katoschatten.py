@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (DENSE_ORACLE_CASES, NEAR_DIAGONAL_T2, SUITE_T, gaussian, make_ctx,
-                      unit_gaussians_1d)
+from conftest import (DENSE_ORACLE_CASES, MIXED_T2, NEAR_DIAGONAL_T2, SUITE_T, gaussian,
+                      make_ctx, unit_gaussians_1d)
 from symplecta import katoschatten, spaces
 from symplecta.calculus import quantize_T
 from symplecta.grid import (GridFunction, make_grid, sigma_convolve, symplectic_fourier,
@@ -213,6 +213,17 @@ def test_multiplier_identity_reduces_to_plain_identity():
     c = gaussian(g, 1.0, center=(0.0, 0.3))
     r = multiplier_identity_residual(ctx, b, c, np.ones((32, 32)))
     assert r < 1e-6
+
+
+@pytest.mark.parametrize("T, n, N", [(SUITE_T["half"], 1, 16), (MIXED_T2, 2, 4)],
+                         ids=["ambiguity-kernel", "shift-groups"])
+def test_kato_synthesis_refuses_an_operator_of_another_shape(T, n, N):
+    ctx = make_ctx(T, N=N, n=n)
+    b, M = gaussian(ctx.phase_grid), ctx.phase_grid.M
+    for shape in ((M - 1, M - 1), (M, M + 1)):
+        with pytest.raises(ValueError, match=rf"^operator must be {M} x {M}, "
+                                             rf"got shape \({shape[0]}, {shape[1]}\)"):
+            kato_synthesis(ctx, b, np.ones(shape))
 
 
 def test_frequency_multiplier_translation_action():

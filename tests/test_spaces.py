@@ -7,7 +7,7 @@ import pytest
 
 from symplecta import spaces
 from symplecta.calculus import lambda_transform
-from symplecta.grid import GridFunction, make_grid
+from symplecta.grid import GridFunction, make_grid, pullback
 from symplecta.spaces import (_CHUNK_ELEMS, WeightSpec, WindowSpec, _run_chunks,
                               _fd_derivatives, _stft_lp, _window_factors, chirp_TA,
                               dilation_ratio, embedding_bound, modulation_norm,
@@ -609,6 +609,21 @@ def test_trig_resample_rejects_a_singular_or_non_finite_map(A):
     u = np.outer(gauss1d(8), gauss1d(8))
     with pytest.raises(ValueError, match="singular"):
         trig_resample(u, A)
+
+
+@pytest.mark.parametrize("call, A", [
+    (lambda u, A: pullback(A, GridFunction(make_grid(1, 8), u)), np.eye(3)),
+    (lambda u, A: pullback(A, GridFunction(make_grid(1, 8), u)), 2 * np.eye(1)),
+    (trig_resample, np.eye(3)),
+    (lambda u, A: dilation_ratio(u, A, 1, 1), np.eye(3))],
+    ids=["pullback-3x3", "pullback-1x1", "trig_resample", "dilation_ratio"])
+def test_resampling_refuses_a_map_of_another_shape(call, A):
+    u = np.outer(gauss1d(8), gauss1d(8))
+    with pytest.raises(ValueError, match=r"^resampling map must be 2 x 2, got shape "
+                                         rf"\({', '.join(map(str, A.shape))},?\)"):
+        call(u, A)
+    # the scalar lambda of dilation_ratio is the multiple of the identity
+    assert dilation_ratio(u, 2.0, 1, 1) == dilation_ratio(u, 2.0 * np.eye(2), 1, 1)
 
 
 def test_chirp_is_invertible_and_support_preserving():
