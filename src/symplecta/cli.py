@@ -47,7 +47,7 @@ TOLERANCES = {
     "sec2-fsigma-isometry": 1e-10, "sec2-fsigma-gaussian": 1e-8,
     "sec4-unit-symbol": 1e-9, "thm-n4": 1e-7, "sec1-routes": 1e-7,
     "thm-n14-a": 1e-6, "eq-K2": 1e-6, "thm-n15-ii": 1e-2, "thm-n15-i": 1e-9,
-    "sec9-orthogonality": 1e-2, "thm-n5-inverse": 1e-10,
+    "sec9-orthogonality": 1e-2, "thm-n5-inverse": 1e-10, "thm-n5-support": 0.5,
 }
 
 
@@ -191,9 +191,23 @@ def _writing_out(cfg):
         raise ConfigError(f"out: cannot write to {cfg.out!r}: {exc}")
 
 
-def _check(report, tag, value, label=None):
-    """Add the row `label` (default: the tag) with the bound of its tolerance tag."""
-    report.add(label or tag, 0, 0, value, TOLERANCES[tag])
+def _check(report, tag, value):
+    """Add the row `tag` with the bound of its tolerance tag."""
+    report.add(tag, 0, 0, value, TOLERANCES[tag])
+
+
+def _map_rows(report, maps, rows):
+    """The one loop over (suite map, row), map-major: for each (label, ctx, inputs) of
+    `maps` and each (tag, value) of `rows`, add the row `tag[label]` with the value
+    value(ctx, inputs) and the bound TOLERANCES[tag]."""
+    for label, ctx, inputs in maps:
+        for tag, value in rows:
+            report.add(f"{tag}[{label}]", 0, 0, value(ctx, inputs), TOLERANCES[tag])
+
+
+def _negativity(B):
+    """How far B's Hermitian part is from positive: max(0, -min eig) / ||B||_F."""
+    return max(0.0, -np.linalg.eigvalsh(0.5 * (B + B.conj().T)).min()) / np.linalg.norm(B)
 
 
 # ---------------------------------------------------------------------------
@@ -274,45 +288,32 @@ def _suite_verify_kato(cfg, report, rng):
         raise ConfigError(f"N must be at least 32 for verify-kato, whose T=I rows "
                           f"alias on coarser grids, got N={cfg.N}")
     configured = _context(cfg)  # a degenerate configured T fails, as in verify-core
-    grid = make_grid(cfg.n, cfg.N)
+    grid = configured.phase_grid
     b = _gaussian(grid, 1.0, center=[0.5] + [0.0] * (grid.dim - 1))
     c = _gaussian(grid, 1.0, center=[0.0, 0.3] + [0.0] * (grid.dim - 2))
     pts = grid.points()
     chirp = np.exp(0.5j * 0.3 * pts[:, 0] * pts[:, 1]).reshape(b.values.shape)
-    ctxs = {label: configured if np.array_equal(T, configured.T) else _context(cfg, T=T)
-            for label, T in DEFAULT_SUITE_T}
-    for label, ctx in ctxs.items():
-        _check(report, "thm-n14-a", kato_identity_residual(ctx, b, c),
-               f"thm-n14-a[{label}]")
-        _check(report, "eq-K2", multiplier_identity_residual(ctx, b, c, chirp),
-               f"eq-K2[{label}]")
-        # scalar synthesis identity and positivity
-        M = grid.M
-        u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        G = np.outer(u, v.conj())
-        BG = kato_synthesis(ctx, (lambda xi: np.ones(xi.shape[0])), G)
-        want = np.sqrt(ctx.detS) * np.trace(G) * np.eye(M)
-        _check(report, "thm-n15-ii", _relative_residual(want, BG),
-               f"thm-n15-ii[{label}]")
-        Gp = np.outer(u, u.conj())
-        BGp = kato_synthesis(ctx, b, Gp)
-        mineig = np.linalg.eigvalsh(0.5 * (BGp + BGp.conj().T)).min()
-        scale = np.linalg.norm(BGp)
-        _check(report, "thm-n15-i", max(0.0, -mineig) / scale,
-               f"thm-n15-i[{label}]")
+    maps = []  # (label, ctx, (u v*, u u*)): the operators that thm-n15 synthesizes
+    for label, T in DEFAULT_SUITE_T:
+        ctx = configured if np.array_equal(T, configured.T) else _context(cfg, T=T)
+        u, v = (rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M)
+                for _ in range(2))
+        maps.append((label, ctx, (np.outer(u, v.conj()), np.outer(u, u.conj()))))
+    _map_rows(report, maps, (
+        ("thm-n14-a", lambda ctx, _: kato_identity_residual(ctx, b, c)),
+        ("eq-K2", lambda ctx, _: multiplier_identity_residual(ctx, b, c, chirp)),
+        ("thm-n15-ii", lambda ctx, ops: _relative_residual(
+            np.sqrt(ctx.detS) * np.trace(ops[0]) * np.eye(grid.M),
+            kato_synthesis(ctx, lambda xi: np.ones(xi.shape[0]), ops[0]))),
+        ("thm-n15-i", lambda ctx, ops: _negativity(kato_synthesis(ctx, b, ops[1])))))
     # orthogonality relation at the configured N
     x = grid.axis
-    phi_v = np.exp(-x ** 2 / 2) * (1 + 0.1 * x)
-    phi_v /= np.linalg.norm(phi_v)
-    psi_v = np.exp(-x ** 2 / 2) * (1 - 0.2 * x ** 2)
-    psi_v /= np.linalg.norm(psi_v)
-    for label in ("T=I/2", "T=I", "T=diag(.3,.7)"):
-        ctx = ctxs[label]
-        val = orthogonality_integral(ctx, phi_v, psi_v)
-        want = np.sqrt(ctx.detS)
-        _check(report, "sec9-orthogonality", abs(val - want) / want,
-               f"sec9-orthogonality[{label}]")
+    e = np.exp(-x ** 2 / 2)
+    phi_v, psi_v = (w / np.linalg.norm(w) for w in (e * (1 + 0.1 * x), e * (1 - 0.2 * x ** 2)))
+    _map_rows(report, [m for m in maps if m[0] in ("T=I/2", "T=I", "T=diag(.3,.7)")], (
+        ("sec9-orthogonality", lambda ctx, _: abs(
+            orthogonality_integral(ctx, phi_v, psi_v) - np.sqrt(ctx.detS))
+            / np.sqrt(ctx.detS)),))
     return report
 
 
@@ -327,8 +328,7 @@ def _suite_norms(cfg, report, rng):
     _check(report, "thm-n5-inverse", np.abs(v - u).max())
     sup_before = np.abs(_ord_ft(u.astype(complex))) > 1e-12
     sup_after = np.abs(_ord_ft(chirp_TA(A, u))) > 1e-12
-    report.add("thm-n5-support", 0, 0,
-               float(np.count_nonzero(sup_before != sup_after)), 0.5)
+    _check(report, "thm-n5-support", float(np.count_nonzero(sup_before != sup_after)))
     # chirp modulation boundedness with a constant frozen on the first symbol
     ratios = []
     for i in range(5):

@@ -85,7 +85,10 @@ def regular_representation(ctx, xi, f):
     on the grid inner product, and R(xi)R(eta) = omega(xi,eta)R(xi+eta).
     """
     xi = np.asarray(xi, dtype=float)
-    shifted = translate(-xi, f)  # refuses an off-lattice xi before omega meets it
+    try:  # translate refuses an off-lattice xi before omega meets it
+        shifted = translate(-xi, f)
+    except ValueError:  # name the caller's xi, not its negation
+        raise ValueError(f"off-grid xi {xi.tolist()} on {f.grid}; use a lattice point") from None
     pts = f.grid.points()
     phase = omega(ctx, pts, np.broadcast_to(xi, pts.shape)).reshape(f.values.shape)
     return GridFunction(f.grid, phase * shifted.values)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -320,6 +321,41 @@ def test_kato_report_reads_as_seven_column_csv(tmp_path):
         assert len(row) == 7 and None not in row
         float(row["value"])
     assert "thm-n14-a[T=diag(.3,.7)]" in {row["quantity"] for row in rows}
+
+
+def test_map_rows_adds_tagged_rows_map_major():
+    report = cli.NormReport()
+    seen = []
+
+    def value(tag):
+        return lambda ctx, inputs: seen.append((tag, ctx, inputs)) or len(seen)
+
+    maps = [("m1", "ctx1", "in1"), ("m2", "ctx2", "in2")]
+    cli._map_rows(report, maps, [("thm-n4", value("a")), ("eq-K2", value("b"))])
+    assert [r.quantity for r in report.rows] == [
+        "thm-n4[m1]", "eq-K2[m1]", "thm-n4[m2]", "eq-K2[m2]"]
+    assert all(r.p == r.q == 0 for r in report.rows)
+    assert [r.bound for r in report.rows] == [cli.TOLERANCES[t]
+                                              for t in ("thm-n4", "eq-K2") * 2]
+    assert [r.value for r in report.rows] == [1, 2, 3, 4]
+    assert seen == [("a", "ctx1", "in1"), ("b", "ctx1", "in1"),
+                    ("a", "ctx2", "in2"), ("b", "ctx2", "in2")]
+
+
+def test_every_fixed_bound_comes_from_tolerances_as_readme_lists_them(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Suite | Tag | Bound |\n")[1].split("\n\n")[0].splitlines()[1:]
+    cells = [row.strip("|").split("|") for row in table]
+    listed = [(tag, float(bound)) for _, tags, bound in cells
+              for tag in re.findall(r"`([^`]+)`", tags)]
+    assert sorted(listed) == sorted(cli.TOLERANCES.items())
+    for suite in ("verify-core", "verify-kato", "norms"):
+        assert main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"report-{suite}.csv", newline="", encoding="utf-8") as fh:
+            fixed = [r for r in csv.DictReader(fh) if r["p"] == r["q"] == "0"]
+        assert fixed
+        for row in fixed:
+            assert float(row["bound"]) == cli.TOLERANCES[row["quantity"].split("[")[0]]
 
 
 # The bounds are the fixed cli.TOLERANCES: no override is accepted, not even
