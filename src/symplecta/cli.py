@@ -382,8 +382,7 @@ def _write_report(cfg, report, name, suites):
         if cfg.json_mirror:
             config = {"n": cfg.n, "N": cfg.N, "T": np.asarray(cfg.T).tolist(),
                       "suite": "+".join(suites), "seed": cfg.seed}
-            with open(os.path.join(cfg.out, f"{name}.json"), "w", encoding="utf-8") as fh:
-                fh.write(report.to_json(config))
+            _write_json(os.path.join(cfg.out, f"{name}.json"), report.mirror(config))
     return csv_path
 
 

@@ -11,6 +11,7 @@ GridFunction's values array is indexed values[x, p].
 """
 
 import threading
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -484,14 +485,20 @@ def _read_rows(path, magic, keys, count):
         header = fh.readline().strip()
         fields = dict(part.strip().split("=", 1) for part in header.split(",")[1:]
                       if "=" in part)
-        if not (header.startswith(magic) and all(fields.get(k, "").isdigit() for k in keys)):
+        digits = [fields.get(k, "") for k in keys]
+        if not (header.startswith(magic) and all(d.isascii() and d.isdigit() for d in digits)):
             raise ValueError(f"not a {magic} file: {header!r}")
-        dims = [int(fields[k]) for k in keys]
+        dims = [int(d) for d in digits]
         if count(*dims) <= 0:
             raise ValueError(f"{path}: header {header!r} declares no values")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a body without rows is refused below, in this codec's words
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.shape != (count(*dims), 2):
-        raise ValueError(f"{path}: expected {count(*dims)} re,im rows, found {len(rows)}")
+        found = f"{len(rows)} rows of width {rows.shape[1]}" if len(rows) else "no rows"
+        raise ValueError(f"{path}: expected {count(*dims)} re,im rows of width 2, "
+                         f"found {found}")
     return dims, rows.view(complex).ravel()
 
 

@@ -50,7 +50,6 @@ report built with constants frozen on one grid checks another.
 import csv
 import functools
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,7 +302,8 @@ class NormRow:
 class NormReport:
     """Norm-bound rows and the constants they are checked against.  Built
     without frozen constants the report calibrates them (see frozen); built
-    with them it only checks against them.  to_csv and to_json write it."""
+    with them it only checks against them.  to_csv writes it; mirror gives
+    its JSON data."""
 
     rows: list = field(default_factory=list)
     frozen_constants: dict = field(default_factory=dict)
@@ -346,15 +346,14 @@ class NormReport:
                              str(r.passed).lower()])
         return buf.getvalue()
 
-    def to_json(self, config):
-        """The rows, the frozen constants, the calibration rule and the run's
-        config as indented JSON with sorted keys."""
+    def mirror(self, config):
+        """The JSON mirror's data: the rows, the frozen constants, the
+        calibration rule and the run's config."""
         rows = [{"quantity": r.quantity, "p": r.p, "q": r.q, "value": r.value,
                  "bound": r.bound, "ratio": r.ratio, "pass": r.passed} for r in self.rows]
         rule = f"frozen constant = {self._FACTOR:g}x first-member measured ratio"
-        return json.dumps({"rows": rows, "frozen_constants": self.frozen_constants,
-                           "calibration": rule, "config": config},
-                          indent=2, sort_keys=True) + "\n"
+        return {"rows": rows, "frozen_constants": self.frozen_constants,
+                "calibration": rule, "config": config}
 
 
 def _gauss_family(grid, count):

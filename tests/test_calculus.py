@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,10 +310,17 @@ def test_text_codec_rejects_truncated_and_overlong_files(tmp_path, codec):
     path = tmp_path / "f.txt"
     write(rng.standard_normal(16) + 1j * rng.standard_normal(16), path)
     text = path.read_text()
-    lines = text.splitlines(keepends=True)
-    for bad in (text[:len(text) // 2],           # cut inside a row
-                "".join(lines[:-1]),              # one row short
-                text + lines[-1]):                # one row too many
-        path.write_text(bad)
-        with pytest.raises(ValueError):
-            read(path)
+    header, *lines = text.splitlines(keepends=True)
+    for bad, message in (
+            (text[:len(text) // 2], None),                      # cut inside a row
+            (header + "".join(lines[:-1]), None),                # one row short
+            (text + lines[-1], None),                            # one row too many
+            (header, "found no rows"),                           # no body: no numpy warning
+            (header + "1.0,2.0,3.0\n" * 16, "16 rows of width 3"),
+            (header.rsplit("=", 1)[0] + "=\u00b2\n" + "".join(lines),  # a non-ASCII digit
+             "not a symplecta-(grid|op) v1 file")):
+        path.write_text(bad, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                read(path)

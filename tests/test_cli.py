@@ -174,15 +174,28 @@ def test_the_process_exits_with_the_documented_code(tmp_path, cfg, code, message
     argv = ["verify", "--suite", "verify-core", "--out", str(tmp_path)]
     if cfg is not None:
         argv += ["--config", write_cfg(tmp_path, **cfg)]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "symplecta.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python("-m", "symplecta.cli", *argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if message is not None:
         assert message in proc.stderr
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports symplecta from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_one_module_loads_only_what_it_imports():
+    # the package module re-exports nothing: each name is imported from its module
+    proc = _run_python("-c", "import sys, symplecta.grid; print(*sorted("
+                       "m for m in sys.modules if m.split('.')[0] == 'symplecta'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["symplecta", "symplecta.grid", "symplecta.symplin"]
 
 
 @pytest.mark.parametrize("T", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [0.0, 0.0]]],
