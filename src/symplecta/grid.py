@@ -478,6 +478,20 @@ def _write_rows(path, header, values):
     return data
 
 
+def _first_bad_row(lines):
+    """'line k is not ...' for the first body line of a codec file, comments
+    and blank lines aside as loadtxt skips them, that is not two
+    comma-separated numbers; None if there is none."""
+    for k, line in enumerate(lines, 1):
+        data = line.split("#", 1)[0]
+        if k > 1 and data.strip():
+            try:
+                x, y = map(float, data.split(","))
+            except ValueError:  # another width, or a field that is no number
+                return f"line {k} is not a re,im row of two numbers: {line.rstrip()!r}"
+    return None
+
+
 def _read_rows(path, magic, keys, count):
     """Integer header fields `keys` and complex values of a grid or operator file;
     ValueError unless the header is `magic` and the body holds count(*fields) rows."""
@@ -494,7 +508,11 @@ def _read_rows(path, magic, keys, count):
         with warnings.catch_warnings():
             # a body without rows is refused below, in this codec's words
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                fh.seek(0)
+                raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from exc
     if rows.shape != (count(*dims), 2):
         found = f"{len(rows)} rows of width {rows.shape[1]}" if len(rows) else "no rows"
         raise ValueError(f"{path}: expected {count(*dims)} re,im rows of width 2, "

@@ -23,8 +23,9 @@ differences -(N-1) .. N-1,
     H[m, d] = sum_l Ghat[l + m, l] e^{i x_l d h},
     b{G}[a, a - d] = (w / N) sum_m e^{i x_a m h} K[m, d] H[m, d].
 
-K depends on b only, H on G only; both and the sum over m are per-axis
-products, O(N^3) at n = 1 and O(N^5) at n = 2, for fractional shifts too.
+K depends on b only, H on G only, so a stack of operators shares K; both
+and the sum over m are per-axis products, O(N^3) at n = 1 and O(N^5) at
+n = 2, for fractional shifts too.
 The exponentials act one axis at a time on the multi-indices m, d.
 
 Shift groups (A coupled, such as an n = 2 phi with an x-p block).  The sum
@@ -158,28 +159,38 @@ def _ambiguity_plan(grid, a, axes):
 
 def _ambiguity_average(grid, a, axes, bv, G):
     """sum_xi b(xi) U(xi) G U(xi)^* for U(xi) = W_std(diag(a) xi), with the
-    density bv sampled on the product of the 2n coordinate axes.
+    density bv sampled on the product of the 2n coordinate axes, for G one
+    M x M operator or a stack (k, M, M) of them; the result has G's shape.
 
     Arrays over (m, d) hold the n axes of m, then the n axes of d.  The sum
-    over the leading m axis runs in chunks that bound them.
+    over the leading m axis runs in chunks that bound them; each chunk's K is
+    formed once and serves every G.
     """
     n, N = grid.n, grid.N
     L = 2 * N - 1
     key = (grid, a.tobytes(), tuple(ax.tobytes() for ax in axes), _CHUNK_ELEMS)
     F, Ex, Ey, Ep, gathers, idx = _AMBIGUITY_PLANS.fetch(
         key, lambda: _ambiguity_plan(grid, a, axes))
-    Ghat = (F @ G @ F.conj().T).reshape((N,) * 2 * n)
-    out = np.zeros((N,) * n + (L,) * n, complex)
+    Ghats = [(F @ g @ F.conj().T).reshape((N,) * 2 * n) for g in G.reshape(-1, N ** n, N ** n)]
+    outs = np.zeros((len(Ghats),) + (N,) * n + (L,) * n, complex)
     for sl, index, inside in gathers:
-        D = np.where(inside, Ghat[index], 0.0)
-        H = _contract(D, [Ex] * n, range(n, 2 * n))
         K = _contract(bv, (Ey[0][:, sl],) + Ey[1:] + Ep, range(2 * n))
-        out += _contract(K * H, [Ex.T] * (n - 1) + [Ex[:, sl].T], range(n - 1, -1, -1))
-    return np.take_along_axis(out.reshape(N ** n, L ** n), idx, axis=1) / N ** n
+        for Ghat, out in zip(Ghats, outs):
+            D = np.where(inside, Ghat[index], 0.0)
+            H = _contract(D, [Ex] * n, range(n, 2 * n))
+            out += _contract(K * H, [Ex.T] * (n - 1) + [Ex[:, sl].T], range(n - 1, -1, -1))
+    outs = outs.reshape(len(Ghats), N ** n, L ** n)
+    return (np.take_along_axis(outs, idx[None], axis=2) / N ** n).reshape(G.shape)
 
 
 def kato_synthesis(ctx, b, G):
     """Average U(xi) G U(xi)^* against the density b over phase space.
+
+    G is one M x M operator or a stack of them, shape (k, M, M), and the
+    result has its shape.  A stack samples b once; the ambiguity-domain
+    kernel also fetches its plan and forms b's K once, and the shift groups
+    average each operator by its own call.  Either way each operator's
+    average takes the steps of a one-operator call, so it has the same bits.
 
     GridFunction densities are summed over the fundamental box; callables over
     the full U-periodicity cell (so that b == 1 reproduces the scalar identity
@@ -189,7 +200,7 @@ def kato_synthesis(ctx, b, G):
     """
     G = np.asarray(G, dtype=complex)
     grid = ctx.phase_grid
-    if G.shape != (grid.M, grid.M):
+    if G.ndim not in (2, 3) or G.shape[-2:] != (grid.M, grid.M):
         raise ValueError(f"operator must be {grid.M} x {grid.M}, got shape {G.shape}")
     if isinstance(b, GridFunction):
         _check_grid(b, grid, "density")
@@ -204,7 +215,8 @@ def kato_synthesis(ctx, b, G):
         raise TypeError("b must be a GridFunction or a callable on phase points")
     A = ctx.A
     if not _is_diagonal(A):
-        return _accumulate(ctx, bv.ravel(), G) * grid.weight
+        out = [_accumulate(ctx, bv.ravel(), g) for g in G.reshape(-1, grid.M, grid.M)]
+        return np.reshape(out, G.shape) * grid.weight
     return _ambiguity_average(grid, np.diag(A), axes, bv, G) * grid.weight
 
 

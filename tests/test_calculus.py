@@ -318,7 +318,11 @@ def test_text_codec_rejects_truncated_and_overlong_files(tmp_path, codec):
             (header, "found no rows"),                           # no body: no numpy warning
             (header + "1.0,2.0,3.0\n" * 16, "16 rows of width 3"),
             (header.rsplit("=", 1)[0] + "=\u00b2\n" + "".join(lines),  # a non-ASCII digit
-             "not a symplecta-(grid|op) v1 file")):
+             "not a symplecta-(grid|op) v1 file"),
+            (header + lines[0] + "1.0,2.0,3.0\n" + "".join(lines[2:]),  # one ragged row
+             r"f\.txt: line 3 is not a re,im row of two numbers: '1\.0,2\.0,3\.0'$"),
+            (header + "1.0,abc\n" + "".join(lines[1:]),           # a field that is no number
+             r"f\.txt: line 2 is not a re,im row of two numbers: '1\.0,abc'$")):
         path.write_text(bad, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

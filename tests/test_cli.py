@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from symplecta.calculus import read_operator
-from symplecta import cli
+from symplecta import cli, grid, katoschatten
 from symplecta.cli import main
 from symplecta.grid import GridFunction, make_grid, symplectic_fourier, write_grid_function
+from symplecta.katoschatten import kato_identity_residual, multiplier_identity_residual
 from symplecta.weylrep import build_rep_context
 
 from conftest import set_workers
@@ -340,19 +341,55 @@ def test_map_rows_adds_tagged_rows_map_major():
     report = cli.NormReport()
     seen = []
 
-    def value(tag):
-        return lambda ctx, inputs: seen.append((tag, ctx, inputs)) or len(seen)
+    def values(ctx, inputs):
+        seen.append((ctx, inputs))
+        return 2 * len(seen) - 1, 2 * len(seen)
 
     maps = [("m1", "ctx1", "in1"), ("m2", "ctx2", "in2")]
-    cli._map_rows(report, maps, [("thm-n4", value("a")), ("eq-K2", value("b"))])
+    cli._map_rows(report, maps, ("thm-n4", "eq-K2"), values)
     assert [r.quantity for r in report.rows] == [
         "thm-n4[m1]", "eq-K2[m1]", "thm-n4[m2]", "eq-K2[m2]"]
     assert all(r.p == r.q == 0 for r in report.rows)
     assert [r.bound for r in report.rows] == [cli.TOLERANCES[t]
                                               for t in ("thm-n4", "eq-K2") * 2]
     assert [r.value for r in report.rows] == [1, 2, 3, 4]
-    assert seen == [("a", "ctx1", "in1"), ("b", "ctx1", "in1"),
-                    ("a", "ctx2", "in2"), ("b", "ctx2", "in2")]
+    assert seen == [("ctx1", "in1"), ("ctx2", "in2")]  # one call per map
+    with pytest.raises(ValueError):  # one value per tag, no more and no fewer
+        cli._map_rows(report, maps, ("thm-n4",), values)
+
+
+def _count_calls(monkeypatch, fn):
+    """Rebind every symplecta module attribute that is fn to a wrapper that
+    records its arguments; return the list of recorded calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("symplecta."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_kato_shares_each_maps_work_and_matches_the_reference_forms(monkeypatch):
+    syntheses = _count_calls(monkeypatch, katoschatten.kato_synthesis)
+    convolutions = _count_calls(monkeypatch, grid.sigma_convolve)
+    multipliers = _count_calls(monkeypatch, grid.apply_multiplier)
+    cfg = cli.RunConfig(N=32, T=[[0.5, 0.0], [0.0, 0.5]])
+    report = cli._suite_verify_kato(cfg, cli.NormReport(), np.random.default_rng(0))
+    maps = len(cli.DEFAULT_SUITE_T)
+    # b * c once per run; h(D)(b * c) and h(D) c once per run; three averages per map
+    assert len(convolutions) == 1 and len(multipliers) == 2
+    assert len(syntheses) == 3 * maps
+    (b, c), ((chirp, _), _) = convolutions[0], multipliers
+    monkeypatch.undo()
+    values = {r.quantity: r.value for r in report.rows}
+    for (label, _), (ctx, *_) in zip(cli.DEFAULT_SUITE_T, syntheses[::3]):
+        assert values[f"thm-n14-a[{label}]"] == kato_identity_residual(ctx, b, c)
+        assert values[f"eq-K2[{label}]"] == multiplier_identity_residual(ctx, b, c, chirp)
 
 
 def test_every_fixed_bound_comes_from_tolerances_as_readme_lists_them(tmp_path):

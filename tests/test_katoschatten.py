@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import (DENSE_ORACLE_CASES, MIXED_T2, NEAR_DIAGONAL_T2, SUITE_T, gaussian,
                       make_ctx, unit_gaussians_1d)
-from symplecta import katoschatten, spaces
+from symplecta import cli, katoschatten, spaces
 from symplecta.calculus import quantize_T
 from symplecta.grid import (GridFunction, make_grid, sigma_convolve, symplectic_fourier,
                             translate)
@@ -220,10 +222,35 @@ def test_multiplier_identity_reduces_to_plain_identity():
 def test_kato_synthesis_refuses_an_operator_of_another_shape(T, n, N):
     ctx = make_ctx(T, N=N, n=n)
     b, M = gaussian(ctx.phase_grid), ctx.phase_grid.M
-    for shape in ((M - 1, M - 1), (M, M + 1)):
+    for shape in ((M - 1, M - 1), (M, M + 1), (3, M, M + 1), (2, 2, M, M)):
         with pytest.raises(ValueError, match=rf"^operator must be {M} x {M}, "
-                                             rf"got shape \({shape[0]}, {shape[1]}\)"):
+                                             rf"got shape {re.escape(str(shape))}$"):
             kato_synthesis(ctx, b, np.ones(shape))
+
+
+@pytest.mark.parametrize("T", [T for _, T in cli.DEFAULT_SUITE_T],
+                         ids=[label for label, _ in cli.DEFAULT_SUITE_T])
+def test_a_stack_of_operators_gives_the_bits_of_separate_calls(T):
+    ctx = make_ctx(T, N=32)
+    M = ctx.phase_grid.M
+    stack = rng.standard_normal((3, M, M)) + 1j * rng.standard_normal((3, M, M))
+    for b in (gaussian(ctx.phase_grid, 1.0, center=(0.5, 0.0)),
+              lambda xi: np.ones(xi.shape[0])):
+        assert np.array_equal(kato_synthesis(ctx, b, stack),
+                              [kato_synthesis(ctx, b, G) for G in stack])
+
+
+def test_a_stack_of_operators_gives_the_bits_of_separate_calls_on_the_shift_groups():
+    ctx = make_ctx(MIXED_T2, N=4, n=2)
+    g, M = ctx.phase_grid, ctx.phase_grid.M
+    # a density that vanishes at 9 in 10 points, and so on whole shift groups
+    keep = np.random.default_rng(3).random(g.N ** g.dim) < 0.1
+    b = GridFunction(g, np.where(keep, gaussian(g, 1.0).values.ravel(), 0.0))
+    _, group = np.unique((g.points() @ ctx.A.T)[:, :g.n], axis=0, return_inverse=True)
+    assert not np.all(np.bincount(group.ravel(), weights=keep) > 0)
+    stack = rng.standard_normal((3, M, M)) + 1j * rng.standard_normal((3, M, M))
+    assert np.array_equal(kato_synthesis(ctx, b, stack),
+                          [kato_synthesis(ctx, b, G) for G in stack])
 
 
 def test_frequency_multiplier_translation_action():
